@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="scenario JSON path")
     sim.add_argument("--out", help="metrics CSV path (default: stdout)")
     sim.add_argument("--seed", type=int, help="override the scenario seed")
-    sim.add_argument("--workers", type=int, default=1, help="trial-chunk worker threads (default 1)")
+    sim.add_argument("--workers", type=int, default=1, help="accepted, must be >= 1; trial chunks run serially (default 1)")
     sim.add_argument("--dump-signals", metavar="FILE", help="also dump the first received blocks as t,re,im CSV")
 
     val = sub.add_parser("validate", help="check a system config or scenario JSON")

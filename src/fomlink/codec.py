@@ -54,20 +54,26 @@ def _bit_tuple(bits: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
+def _is_power_of_two(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1 and (value & (value - 1)) == 0
+
+
 def _log2_count(value: int, name: str) -> int:
-    if not isinstance(value, int) or value < 1 or value & (value - 1):
+    if not _is_power_of_two(value):
         raise ValueError(f"{name} must be a power-of-two integer >= 1, got {value!r}")
     return value.bit_length() - 1
 
 
 def _bits_to_int(bits: Sequence[int]) -> int:
+    """MSB-first value of a bit sequence."""
     value = 0
     for b in bits:
-        value = (value << 1) | b
+        value = (value << 1) | int(b)
     return value
 
 
 def _int_to_bits(value: int, width: int) -> tuple[int, ...]:
+    """The low ``width`` bits of value, MSB first; inverse of `_bits_to_int`."""
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 

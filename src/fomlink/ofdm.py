@@ -17,13 +17,12 @@ energy-weighted average of the active bins.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import DataBlock, constellation, demap_symbol, map_index
-from .phy import DetectionResult
+from .codec import SUPPORTED_M, DataBlock, _bits_to_int, _is_power_of_two, constellation, demap_symbol, map_index
+from .phy import DetectionResult, awgn
 from .system import SystemConfig
 
 __all__ = [
@@ -39,10 +38,6 @@ __all__ = [
 INDEX_MODES = ("single-active", "single-silent")
 
 
-def _is_power_of_two(value: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1 and (value & (value - 1)) == 0
-
-
 @dataclass(frozen=True)
 class OfdmConfig:
     n_subcarriers: int
@@ -56,8 +51,8 @@ class OfdmConfig:
             raise ValueError(f"n_subcarriers must be a power-of-two integer >= 2, got {self.n_subcarriers!r}")
         if not self.spacing_hz > 0:
             raise ValueError(f"spacing_hz must be positive, got {self.spacing_hz!r}")
-        if not _is_power_of_two(self.m) or self.m < 2:
-            raise ValueError(f"m must be a power-of-two integer >= 2, got {self.m!r}")
+        if not _is_power_of_two(self.m) or self.m not in SUPPORTED_M:
+            raise ValueError(f"m must be one of {SUPPORTED_M}, got {self.m!r}")
         if not isinstance(self.cp_len, int) or self.cp_len < 0:
             raise ValueError(f"cp_len must be a nonnegative integer, got {self.cp_len!r}")
         if self.index_mode not in INDEX_MODES:
@@ -78,6 +73,11 @@ class OfdmFrame:
 
     time_samples: np.ndarray
     sample_rate: float
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The time samples, under the name the `phy` channel functions read."""
+        return self.time_samples
 
 
 def fom_to_ofdm_params(config: SystemConfig, index_mode: str = "single-active", cp_len: int = 0) -> OfdmConfig:
@@ -103,10 +103,7 @@ def _bins_for_block(block: DataBlock, cfg: OfdmConfig) -> np.ndarray:
     if len(block.symbol_bits) != width:
         raise ValueError(f"block has {len(block.symbol_bits)} symbol bits, m={cfg.m} needs {width}")
     k = map_index(block.index_bits)
-    pattern = 0
-    for b in block.symbol_bits:
-        pattern = (pattern << 1) | int(b)
-    a = constellation(cfg.m)[pattern]
+    a = constellation(cfg.m)[_bits_to_int(block.symbol_bits)]
     bins = np.zeros(n, dtype=np.complex128)
     if cfg.index_mode == "single-active":
         bins[k - 1] = a
@@ -165,11 +162,4 @@ def frame_awgn(frame: OfdmFrame, es_n0_db: float, rng_seed: int | np.random.Gene
     bins of the same variance, so sigma^2 = 10**(-es_n0_db/10) gives each
     unit-energy bin symbol exactly the requested SNR.  +inf is noiseless.
     """
-    if es_n0_db == math.inf:
-        return frame
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    sigma2 = 10.0 ** (-es_n0_db / 10.0)
-    scale = math.sqrt(sigma2 / 2.0)
-    count = len(frame.time_samples)
-    noise = scale * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
-    return OfdmFrame(time_samples=frame.time_samples + noise, sample_rate=frame.sample_rate)
+    return awgn(frame, es_n0_db, rng_seed, symbol_energy=1.0)

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codec import DataBlock, constellation, demap_symbol, map_index
+from .codec import DataBlock, _bits_to_int, _int_to_bits, constellation, demap_symbol, map_index
 from .system import SystemConfig, FrequencyPlan, MIN_SAMPLES_PER_SYMBOL
 
 __all__ = [
@@ -126,18 +126,19 @@ def synthesize_block(block: DataBlock, plan: FrequencyPlan, config: SystemConfig
             f"block has {len(block.symbol_bits)} symbol bits, config with m={config.m} needs {config.symbol_bit_count}"
         )
     k = map_index(block.index_bits)
-    a = constellation(config.m)[_pattern(block.symbol_bits)]
+    a = constellation(config.m)[_bits_to_int(block.symbol_bits)]
     fs = config.sample_rate
     count = config.samples_per_symbol
     tone = np.conj(_conj_tones(plan.offsets, count, fs)[k - 1])
     return BasebandSignal(samples=a * tone, sample_rate=fs, duration=1.0 / config.symbol_rate)
 
 
-def _pattern(bits) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
+# The channel functions below take a BasebandSignal or an OFDM frame (any
+# signal with ``samples`` and ``sample_rate``) and return the same type.
+def _with_samples(signal, samples: np.ndarray):
+    if isinstance(signal, BasebandSignal):
+        return replace(signal, samples=samples)
+    return replace(signal, time_samples=samples)
 
 
 def awgn(
@@ -156,32 +157,25 @@ def awgn(
     """
     if es_n0_db == math.inf:
         return signal
+    count = len(signal.samples)
     if symbol_energy is None:
-        symbol_energy = float(len(signal.samples))
+        symbol_energy = float(count)
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     sigma2 = symbol_energy * 10.0 ** (-es_n0_db / 10.0)
     scale = math.sqrt(sigma2 / 2.0)
-    noise = scale * (rng.standard_normal(len(signal.samples)) + 1j * rng.standard_normal(len(signal.samples)))
-    return BasebandSignal(samples=signal.samples + noise, sample_rate=signal.sample_rate, duration=signal.duration)
+    noise = scale * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
+    return _with_samples(signal, signal.samples + noise)
 
 
 def apply_phase_rotation(signal: BasebandSignal, theta: float) -> BasebandSignal:
     """Multiply by exp(j*theta); preserves energy."""
-    return BasebandSignal(
-        samples=signal.samples * np.exp(1j * theta),
-        sample_rate=signal.sample_rate,
-        duration=signal.duration,
-    )
+    return _with_samples(signal, signal.samples * np.exp(1j * theta))
 
 
 def apply_carrier_freq_error(signal: BasebandSignal, delta_hz: float) -> BasebandSignal:
     """Shift the whole block by delta_hz; preserves energy."""
     t = np.arange(len(signal.samples))
-    return BasebandSignal(
-        samples=signal.samples * np.exp(2j * math.pi * delta_hz * t / signal.sample_rate),
-        sample_rate=signal.sample_rate,
-        duration=signal.duration,
-    )
+    return _with_samples(signal, signal.samples * np.exp(2j * math.pi * delta_hz * t / signal.sample_rate))
 
 
 def matched_filter_bank(signal: BasebandSignal, plan: FrequencyPlan) -> np.ndarray:
@@ -226,8 +220,7 @@ def detect_joint_ml(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> Dete
     c = matched_filter_bank(signal, plan)
     metrics, patterns = _slice_metrics(c, m, count)
     best, margin = _pick(metrics)
-    width = (m - 1).bit_length()
-    bits = tuple((patterns[best] >> (width - 1 - i)) & 1 for i in range(width))
+    bits = _int_to_bits(patterns[best], (m - 1).bit_length())
     return DetectionResult(k_hat=best + 1, symbol_bits_hat=bits, metric=float(metrics[best]), runner_up_margin=margin)
 
 
@@ -299,8 +292,7 @@ def brute_force_oracle(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> D
         per_offset[i] = totals[pattern]
         best_patterns.append(pattern)
     best, margin = _pick(per_offset)
-    width = (m - 1).bit_length()
-    bits = tuple((best_patterns[best] >> (width - 1 - i)) & 1 for i in range(width))
+    bits = _int_to_bits(best_patterns[best], (m - 1).bit_length())
     return DetectionResult(
         k_hat=best + 1, symbol_bits_hat=bits, metric=float(per_offset[best]), runner_up_margin=margin
     )

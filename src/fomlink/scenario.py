@@ -7,25 +7,23 @@ realized by scaling delta_f while holding the symbol rate fixed, which also
 rescales the occupied band and eta for that point.
 
 Reproducibility contract: trial ``t`` draws its payload bits and noise from
-``default_rng(seed + t)``, so any partition of the trial range over workers
-yields the same per-trial outcomes, and aggregation is plain counting in
-fixed chunk order.  The same (scenario, seed) therefore always produces a
-byte-identical metrics CSV.
+``default_rng(seed + t)``, and aggregation is plain counting in fixed chunk
+order.  The same (scenario, seed) therefore always produces a byte-identical
+metrics CSV.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import IO, Iterable
 
 import numpy as np
 
 from ._version import __version__
-from .codec import DataBlock, map_index
-from .ofdm import OfdmConfig, OfdmFrame, fom_to_ofdm_params, frame_awgn, modulate_frame, demodulate_frame
+from .codec import DataBlock, _bits_to_int, map_index
+from .ofdm import OfdmConfig, fom_to_ofdm_params, frame_awgn, modulate_frame, demodulate_frame
 from .phy import (
     ChannelSpec,
     apply_carrier_freq_error,
@@ -37,7 +35,7 @@ from .phy import (
     synthesize_block,
 )
 from .system import SystemConfig, ValidationReport, build_frequency_plan, validate_config
-from .analytics import GridSpec, grid_sweep, write_efficiency_csv
+from .analytics import GridSpec, _fmt, grid_sweep, write_efficiency_csv
 
 __all__ = [
     "Scenario",
@@ -294,33 +292,20 @@ def validate_scenario_or_config(data: dict) -> ValidationReport:
     Scenario-level problems (bad detector, bad sweep, inconsistent modes)
     are reported as hard errors alongside the system config's own report.
     """
+    report = ValidationReport()
     if isinstance(data, dict) and "system" in data:
-        report = ValidationReport()
         try:
-            scenario = scenario_from_dict(data)
+            scenario_from_dict(data)
         except ScenarioError as exc:
             report.hard_errors.append(str(exc))
-            system_data = data.get("system")
-            if isinstance(system_data, dict):
-                try:
-                    system = SystemConfig.from_dict(system_data)
-                except ValueError:
-                    return report
-                inner = validate_config(system)
-                report.hard_errors.extend(e for e in inner.hard_errors if e not in report.hard_errors)
-                report.soft_warnings.extend(inner.soft_warnings)
-            return report
-        inner = validate_config(scenario.system)
-        report.hard_errors.extend(inner.hard_errors)
-        report.soft_warnings.extend(inner.soft_warnings)
-        return report
+        data = data["system"]
     try:
-        config = SystemConfig.from_dict(data)
+        inner = validate_config(SystemConfig.from_dict(data))
     except ValueError as exc:
-        report = ValidationReport()
-        report.hard_errors.append(str(exc))
-        return report
-    return validate_config(config)
+        inner = ValidationReport(hard_errors=[str(exc)])
+    report.hard_errors.extend(e for e in inner.hard_errors if e not in report.hard_errors)
+    report.soft_warnings.extend(inner.soft_warnings)
+    return report
 
 
 def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -346,82 +331,61 @@ def _random_block(rng: np.random.Generator, index_len: int, symbol_len: int) -> 
     return DataBlock(index_bits=tuple(int(b) for b in bits[:index_len]), symbol_bits=tuple(int(b) for b in bits[index_len:]))
 
 
-def _bit_errors(truth: tuple[int, ...], guess: tuple[int, ...]) -> int:
-    return sum(a != b for a, b in zip(truth, guess))
-
-
-def _fom_trial(scenario: Scenario, config, plan, es_n0_db: float, trial: int, dump=None):
-    rng = np.random.default_rng(scenario.seed + trial)
-    block = _random_block(rng, config.index_bit_count, config.symbol_bit_count)
-    signal = synthesize_block(block, plan, config)
+def _impair(scenario: Scenario, signal):
     if scenario.channel.phase_rotation:
         signal = apply_phase_rotation(signal, scenario.channel.phase_rotation)
     if scenario.channel.carrier_freq_error:
         signal = apply_carrier_freq_error(signal, scenario.channel.carrier_freq_error)
-    signal = awgn(signal, es_n0_db, rng)
-    if dump is not None:
-        dump(trial, block, signal)
+    return signal
+
+
+def _trial(scenario: Scenario, point, es_n0_db: float, rng: np.random.Generator):
+    """One block through the link: (sent block, received signal, detection)."""
+    if scenario.mode == "ofdm":
+        block = _random_block(rng, (point.n_subcarriers - 1).bit_length(), (point.m - 1).bit_length())
+        frame = frame_awgn(_impair(scenario, modulate_frame(block, point)), es_n0_db, rng)
+        return block, frame, demodulate_frame(frame, point)
+    config, plan = point
+    block = _random_block(rng, config.index_bit_count, config.symbol_bit_count)
+    signal = awgn(_impair(scenario, synthesize_block(block, plan, config)), es_n0_db, rng)
     if scenario.detector == "joint-ml":
         result = detect_joint_ml(signal, plan, config.m)
     elif scenario.detector == "two-stage":
         result = detect_two_stage(signal, plan, config.m, scenario.zero_pad_factor)
     else:
         result = brute_force_oracle(signal, plan, config.m)
-    return block, map_index(block.index_bits), result
+    return block, signal, result
 
 
-def _ofdm_trial(scenario: Scenario, cfg: OfdmConfig, es_n0_db: float, trial: int, dump=None):
-    rng = np.random.default_rng(scenario.seed + trial)
-    index_len = (cfg.n_subcarriers - 1).bit_length()
-    symbol_len = (cfg.m - 1).bit_length()
-    block = _random_block(rng, index_len, symbol_len)
-    frame = modulate_frame(block, cfg)
-    samples = frame.time_samples
-    if scenario.channel.phase_rotation:
-        samples = samples * np.exp(1j * scenario.channel.phase_rotation)
-    if scenario.channel.carrier_freq_error:
-        t = np.arange(len(samples))
-        samples = samples * np.exp(2j * math.pi * scenario.channel.carrier_freq_error * t / frame.sample_rate)
-    frame = OfdmFrame(time_samples=samples, sample_rate=frame.sample_rate)
-    frame = frame_awgn(frame, es_n0_db, rng)
-    if dump is not None:
-        dump(trial, block, frame)
-    result = demodulate_frame(frame, cfg)
-    return block, map_index(block.index_bits), result
-
-
-def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: int) -> tuple[np.ndarray, float]:
-    counts = np.zeros(4, dtype=np.int64)  # index, symbol, block, bit errors
+def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: int, dump=None) -> tuple[np.ndarray, float]:
+    """Error counts (index, symbol, block, bit) and the margin sum over trials start..stop-1."""
+    counts = np.zeros(4, dtype=np.int64)
     margin_sum = 0.0
     for trial in range(start, stop):
-        if scenario.mode == "fom":
-            config, plan = point
-            block, k_true, result = _fom_trial(scenario, config, plan, es_n0_db, trial)
-        else:
-            block, k_true, result = _ofdm_trial(scenario, point, es_n0_db, trial)
+        block, received, result = _trial(scenario, point, es_n0_db, np.random.default_rng(scenario.seed + trial))
+        if dump is not None and trial < _DUMP_BLOCKS:
+            _dump_block(dump, trial, block, received)
+        k_true = map_index(block.index_bits)
         idx_err = result.k_hat != k_true
-        sym_err = result.symbol_bits_hat != block.symbol_bits
+        sym_true, sym_hat = _bits_to_int(block.symbol_bits), _bits_to_int(result.symbol_bits_hat)
+        sym_err = sym_hat != sym_true
         counts[0] += idx_err
         counts[1] += sym_err
         counts[2] += idx_err or sym_err
-        counts[3] += _bit_errors(block.index_bits, _index_bits_of(result.k_hat, len(block.index_bits)))
-        counts[3] += _bit_errors(block.symbol_bits, result.symbol_bits_hat)
+        counts[3] += ((k_true - 1) ^ (result.k_hat - 1)).bit_count() + (sym_true ^ sym_hat).bit_count()
         margin_sum += result.runner_up_margin
     return counts, margin_sum
-
-
-def _index_bits_of(k_hat: int, width: int) -> tuple[int, ...]:
-    return tuple(((k_hat - 1) >> (width - 1 - i)) & 1 for i in range(width))
 
 
 def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] | None = None) -> list[MetricsRow]:
     """Run every sweep point and return one metrics row per point.
 
-    ``workers`` splits each point's trial range into fixed-size chunks and
-    evaluates them on a thread pool; per-trial seeding makes the result
-    independent of the worker count.  ``dump_signals`` (a text file) gets
-    the received samples of the first few trials of the first sweep point
-    as `t,re,im` rows with `# block` separators.
+    Each point's trials run in fixed-size chunks, in order, in the calling
+    thread.  ``workers`` is accepted for compatibility and must be >= 1; on a
+    2-core host a thread pool over the chunks measured no faster than one
+    thread, so it no longer selects a code path.  ``dump_signals`` (a text
+    file) gets the received samples of the first few trials of the first
+    sweep point as `t,re,im` rows with `# block` separators.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -436,8 +400,7 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] 
             config = scenario.system
             es_n0_db = sweep_value if sweep_value is not None else scenario.channel.es_n0_db
         if scenario.mode == "fom":
-            plan = build_frequency_plan(config)
-            point = (config, plan)
+            point = (config, build_frequency_plan(config))
             n, m = config.n, config.m
             df_t = config.delta_f_hz / config.symbol_rate
         else:
@@ -445,18 +408,17 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] 
             n, m = point.n_subcarriers, point.m
             df_t = 1.0
 
-        if dump_signals is not None and point_idx == 0:
-            _dump_first_blocks(scenario, point, es_n0_db, dump_signals)
-
-        spans = [(start, min(start + _CHUNK, scenario.trials)) for start in range(0, scenario.trials, _CHUNK)]
-        if workers == 1 or len(spans) == 1:
-            results = [_count_chunk(scenario, point, es_n0_db, a, b) for a, b in spans]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda span: _count_chunk(scenario, point, es_n0_db, *span), spans))
+        dump = dump_signals if point_idx == 0 else None
+        if dump is not None:
+            dump.write(f"# fomlink {__version__} signal dump (first sweep point)\n")
+            dump.write("t,re,im\n")
         counts = np.zeros(4, dtype=np.int64)
         margin_sum = 0.0
-        for chunk_counts, chunk_margin in results:
+        for start in range(0, scenario.trials, _CHUNK):
+            # Per-chunk partial sums, added in chunk order, fix the margin's rounding.
+            chunk_counts, chunk_margin = _count_chunk(
+                scenario, point, es_n0_db, start, min(start + _CHUNK, scenario.trials), dump
+            )
             counts += chunk_counts
             margin_sum += chunk_margin
         bits_per_block = (n - 1).bit_length() + (m - 1).bit_length()
@@ -480,26 +442,10 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] 
     return rows
 
 
-def _dump_first_blocks(scenario: Scenario, point, es_n0_db: float, out: IO[str]) -> None:
-    out.write(f"# fomlink {__version__} signal dump (first sweep point)\n")
-    out.write("t,re,im\n")
-
-    def writer(trial: int, block: DataBlock, received) -> None:
-        samples = received.samples if hasattr(received, "samples") else received.time_samples
-        out.write(f"# block {trial} index_bits={''.join(map(str, block.index_bits))} " f"symbol_bits={''.join(map(str, block.symbol_bits))}\n")
-        for t, value in enumerate(samples):
-            out.write(f"{t},{value.real:.12g},{value.imag:.12g}\n")
-
-    for trial in range(min(_DUMP_BLOCKS, scenario.trials)):
-        if scenario.mode == "fom":
-            config, plan = point
-            _fom_trial(scenario, config, plan, es_n0_db, trial, dump=writer)
-        else:
-            _ofdm_trial(scenario, point, es_n0_db, trial, dump=writer)
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".9g")
+def _dump_block(out: IO[str], trial: int, block: DataBlock, received) -> None:
+    out.write(f"# block {trial} index_bits={''.join(map(str, block.index_bits))} " f"symbol_bits={''.join(map(str, block.symbol_bits))}\n")
+    for t, value in enumerate(received.samples):
+        out.write(f"{t},{value.real:.12g},{value.imag:.12g}\n")
 
 
 def write_metrics_csv(rows: Iterable[MetricsRow], scenario: Scenario, out: IO[str]) -> None:

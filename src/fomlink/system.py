@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .codec import SUPPORTED_M, _is_power_of_two
+
 __all__ = [
     "SystemConfig",
     "FrequencyPlan",
@@ -41,10 +43,6 @@ _CONFIG_KEYS = (
     "carrier_hz",
     "oversample",
 )
-
-
-def _is_power_of_two(value: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1 and (value & (value - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -161,8 +159,8 @@ def _check_counts(config: SystemConfig, report: ValidationReport) -> bool:
     if not _is_power_of_two(n):
         report.hard_errors.append(f"n must be a power-of-two integer >= 1, got {n!r}")
         good = False
-    if not _is_power_of_two(m) or m < 2:
-        report.hard_errors.append(f"m must be a power-of-two integer >= 2, got {m!r}")
+    if not _is_power_of_two(m) or m not in SUPPORTED_M:
+        report.hard_errors.append(f"m must be one of {SUPPORTED_M}, got {m!r}")
         good = False
     return good
 

@@ -144,6 +144,15 @@ class TestOfdmMode:
         assert s.ofdm.n_subcarriers == 16
         assert s.ofdm.index_mode == "single-silent"
 
+    def test_impairs_frames_shorter_than_a_tone_interval(self):
+        # 4 subcarriers and no prefix: 4 samples, below the tone link's 8-sample minimum.
+        channel = {"es_n0_db": None, "phase_rotation": 0.1, "carrier_freq_error": 0.01}
+        ofdm = {"n_subcarriers": 4, "spacing_hz": 1.0, "m": 4}
+        s = scenario_from_dict(scenario_dict(mode="ofdm", trials=32, channel=channel, ofdm=ofdm))
+        row = run_monte_carlo(s)[0]
+        assert row.n == 4
+        assert row.block_error_rate == 0.0
+
     def test_requires_joint_ml(self):
         with pytest.raises(ScenarioError, match="joint-ml"):
             scenario_from_dict(scenario_dict(mode="ofdm", detector="two-stage"))
