@@ -6,10 +6,12 @@ points, or a list of df_t products (offset-step times symbol interval)
 realized by scaling delta_f while holding the symbol rate fixed, which also
 rescales the occupied band and eta for that point.
 
-Reproducibility contract: trial ``t`` draws its payload bits and noise from
-``default_rng(seed + t)``, and aggregation is plain counting in fixed chunk
-order.  The same (scenario, seed) therefore always produces a byte-identical
-metrics CSV.
+Reproducibility contract: the trials of a sweep point run in chunks of
+``_CHUNK``; chunk ``c`` draws from ``default_rng(SeedSequence([seed, c]))``,
+trial after trial, each trial taking its payload bits and then its noise.
+Distinct seeds therefore give independent streams, every sweep point sees
+the same draws, and aggregation is plain counting in fixed chunk order.  The
+same (scenario, seed) always produces a byte-identical metrics CSV.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ METRICS_HEADER = (
 
 _CHUNK = 1024
 _DUMP_BLOCKS = 8
+_SEED_SCHEME = f"chunk c of {_CHUNK} trials draws from default_rng(SeedSequence([seed, c]))"
 
 
 class ScenarioError(ValueError):
@@ -358,11 +361,16 @@ def _trial(scenario: Scenario, point, es_n0_db: float, rng: np.random.Generator)
 
 
 def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: int, dump=None) -> tuple[np.ndarray, float]:
-    """Error counts (index, symbol, block, bit) and the margin sum over trials start..stop-1."""
+    """Error counts (index, symbol, block, bit) and the margin sum over trials start..stop-1.
+
+    The span is one whole chunk, or the last one; its trials draw in order
+    from the chunk's stream.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, start // _CHUNK]))
     counts = np.zeros(4, dtype=np.int64)
     margin_sum = 0.0
     for trial in range(start, stop):
-        block, received, result = _trial(scenario, point, es_n0_db, np.random.default_rng(scenario.seed + trial))
+        block, received, result = _trial(scenario, point, es_n0_db, rng)
         if dump is not None and trial < _DUMP_BLOCKS:
             _dump_block(dump, trial, block, received)
         k_true = map_index(block.index_bits)
@@ -384,8 +392,8 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] 
     thread.  ``workers`` is accepted for compatibility and must be >= 1; on a
     2-core host a thread pool over the chunks measured no faster than one
     thread, so it no longer selects a code path.  ``dump_signals`` (a text
-    file) gets the received samples of the first few trials of the first
-    sweep point as `t,re,im` rows with `# block` separators.
+    file) gets the received samples of the first few counted trials of the
+    first sweep point as `t,re,im` rows with `# block` separators.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -450,7 +458,7 @@ def _dump_block(out: IO[str], trial: int, block: DataBlock, received) -> None:
 
 def write_metrics_csv(rows: Iterable[MetricsRow], scenario: Scenario, out: IO[str]) -> None:
     """CSV with a '#' provenance header naming the tool version and scenario."""
-    out.write(f"# fomlink {__version__}\n")
+    out.write(f"# fomlink {__version__}; {_SEED_SCHEME}\n")
     out.write(f"# scenario: {json.dumps(scenario.to_dict(), sort_keys=True)}\n")
     out.write(METRICS_HEADER + "\n")
     for r in rows:

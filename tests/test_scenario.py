@@ -4,8 +4,10 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+from fomlink.phy import BasebandSignal, detect_joint_ml
 from fomlink.scenario import (
     METRICS_HEADER,
     Scenario,
@@ -17,6 +19,7 @@ from fomlink.scenario import (
     wilson_interval,
     write_metrics_csv,
 )
+from fomlink.system import build_frequency_plan
 
 
 def scenario_dict(**overrides):
@@ -340,6 +343,32 @@ class TestOutputs:
         t, re, im = data_lines[0].split(",")
         assert t == "0"
         float(re), float(im)
+
+    def test_dump_shows_the_counted_draws(self):
+        s = scenario_from_dict(scenario_dict(trials=8, channel={"es_n0_db": 0.0}))
+        buf = io.StringIO()
+        row = run_monte_carlo(s, dump_signals=buf)[0]
+        config = s.system
+        plan = build_frequency_plan(config)
+        errors = 0
+        for block in buf.getvalue().split("# block ")[1:]:
+            header, *data = block.splitlines()
+            index_bits = header.split("index_bits=")[1].split()[0]
+            samples = np.array([complex(float(re), float(im)) for _, re, im in (ln.split(",") for ln in data)])
+            signal = BasebandSignal(samples=samples, sample_rate=config.sample_rate, duration=1.0 / config.symbol_rate)
+            errors += detect_joint_ml(signal, plan, config.m).k_hat != 1 + int(index_bits, 2)
+        assert errors > 0
+        assert errors == row.index_error_rate * s.trials
+
+    def test_adjacent_seeds_draw_independent_streams(self):
+        def dumped_blocks(seed):
+            s = scenario_from_dict(scenario_dict(trials=4, seed=seed))
+            buf = io.StringIO()
+            run_monte_carlo(s, dump_signals=buf)
+            return [block.split(" ", 1)[1] for block in buf.getvalue().split("# block ")[1:]]
+
+        # Per-trial seeds (seed + t) made seed 42's trial 1 replay seed 43's trial 0.
+        assert dumped_blocks(42)[1] != dumped_blocks(43)[0]
 
     def test_dump_covers_only_the_first_sweep_point(self, tmp_path):
         s = scenario_from_dict(scenario_dict(trials=4, sweep={"es_n0_db": [None, 0.0]}))
