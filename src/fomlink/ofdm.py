@@ -23,7 +23,7 @@ import numpy as np
 
 from .codec import SUPPORTED_M, DataBlock, _bits_to_int, _is_power_of_two, constellation, demap_symbol, map_index
 from .phy import DetectionResult, awgn
-from .system import SystemConfig
+from .system import SystemConfig, _is_real
 
 __all__ = [
     "OfdmConfig",
@@ -49,8 +49,8 @@ class OfdmConfig:
     def __post_init__(self) -> None:
         if not _is_power_of_two(self.n_subcarriers) or self.n_subcarriers < 2:
             raise ValueError(f"n_subcarriers must be a power-of-two integer >= 2, got {self.n_subcarriers!r}")
-        if not self.spacing_hz > 0:
-            raise ValueError(f"spacing_hz must be positive, got {self.spacing_hz!r}")
+        if not _is_real(self.spacing_hz) or not self.spacing_hz > 0:
+            raise ValueError(f"spacing_hz must be a finite positive number, got {self.spacing_hz!r}")
         if not _is_power_of_two(self.m) or self.m not in SUPPORTED_M:
             raise ValueError(f"m must be one of {SUPPORTED_M}, got {self.m!r}")
         if not isinstance(self.cp_len, int) or self.cp_len < 0:

@@ -151,11 +151,16 @@ def _require_keys(data: dict, allowed: Iterable[str], required: Iterable[str], w
 
 
 def _parse_es_n0(value) -> float:
+    """null is noiseless; a number must leave the noise power 10**(-es_n0_db/10) finite."""
     if value is None:
         return math.inf
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ScenarioError(f"es_n0_db must be a number or null (noiseless), got {value!r}")
+        try:
+            if math.isfinite(10.0 ** (-float(value) / 10.0)):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ScenarioError(f"es_n0_db must be a number or null (noiseless) with finite noise power, got {value!r}")
 
 
 def _parse_channel(data: dict) -> ChannelSpec:
@@ -277,7 +282,7 @@ def _cross_validate(scenario: Scenario) -> None:
         report = validate_config(config)
         if report.hard_errors:
             raise ScenarioError(
-                f"invalid system config (delta_f_hz={config.delta_f_hz:g}): " + "; ".join(report.hard_errors)
+                f"invalid system config (delta_f_hz={config.delta_f_hz!r}): " + "; ".join(report.hard_errors)
             )
 
 

@@ -16,6 +16,7 @@ index-modulation bandwidth expansion is ``delta_b = (n - 1) * delta_f``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .codec import SUPPORTED_M, _is_power_of_two
@@ -152,6 +153,16 @@ class ValidationReport:
         return not self.hard_errors
 
 
+def _is_real(value) -> bool:
+    """A finite int or float.  JSON true/false and 1e400 (parsed as inf) are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _check_counts(config: SystemConfig, report: ValidationReport) -> bool:
     """Hard checks on n and m.  Returns True when both are usable."""
     good = True
@@ -168,10 +179,11 @@ def _check_counts(config: SystemConfig, report: ValidationReport) -> bool:
 def validate_config(config: SystemConfig) -> ValidationReport:
     """Check a config and return every violated rule.
 
-    Hard errors make the config unusable for planning or simulation:
-    non-power-of-two counts, nonpositive bandwidth / symbol rate / offset /
-    carrier, oversample below 2, or fewer than MIN_SAMPLES_PER_SYMBOL
-    samples per symbol interval at the derived sample rate.  Soft warnings
+    Hard errors make the config unusable for planning or simulation: an n
+    that is not a power of two, an m outside codec.SUPPORTED_M, scalars that
+    are not finite numbers, nonpositive bandwidth / symbol rate / offset /
+    carrier, oversample below 2, or a sample count per symbol interval that
+    overflows or falls below MIN_SAMPLES_PER_SYMBOL.  Soft warnings
     flag parameter sets that are simulatable but strain the design
     approximations: offsets that are not small next to the carrier
     (delta_f / carrier > 1e-3) or a bandwidth expansion that is not small
@@ -186,21 +198,26 @@ def validate_config(config: SystemConfig) -> ValidationReport:
         ("symbol_rate", config.symbol_rate),
         ("carrier_hz", config.carrier_hz),
     ):
-        if not isinstance(value, (int, float)) or not value > 0:
-            report.hard_errors.append(f"{name} must be positive, got {value!r}")
+        if not _is_real(value) or not value > 0:
+            report.hard_errors.append(f"{name} must be a finite positive number, got {value!r}")
             scalars_ok = False
-    if counts_ok and config.n > 1 and not config.delta_f_hz > 0:
-        report.hard_errors.append(f"delta_f_hz must be positive when n > 1, got {config.delta_f_hz!r}")
+    if not _is_real(config.delta_f_hz) or counts_ok and config.n > 1 and not config.delta_f_hz > 0:
+        report.hard_errors.append(f"delta_f_hz must be a finite number, positive when n > 1, got {config.delta_f_hz!r}")
         scalars_ok = False
-    if not isinstance(config.oversample, (int, float)) or not config.oversample >= 2:
-        report.hard_errors.append(f"oversample must be >= 2, got {config.oversample!r}")
+    if not _is_real(config.oversample) or not config.oversample >= 2:
+        report.hard_errors.append(f"oversample must be a finite number >= 2, got {config.oversample!r}")
         scalars_ok = False
 
     if counts_ok and scalars_ok:
-        spb = config.samples_per_symbol
-        if spb < MIN_SAMPLES_PER_SYMBOL:
+        spb = config.sample_rate * (1.0 / config.symbol_rate)  # samples_per_symbol before rounding
+        if not math.isfinite(spb):
             report.hard_errors.append(
-                f"only {spb} samples per symbol at sample rate {config.sample_rate:g} Hz; "
+                f"samples per symbol overflow at sample rate {config.sample_rate:g} Hz "
+                f"and symbol rate {config.symbol_rate:g} Hz"
+            )
+        elif round(spb) < MIN_SAMPLES_PER_SYMBOL:
+            report.hard_errors.append(
+                f"only {round(spb)} samples per symbol at sample rate {config.sample_rate:g} Hz; "
                 f"need at least {MIN_SAMPLES_PER_SYMBOL} (raise oversample or bandwidth)"
             )
         if config.n > 1:

@@ -198,3 +198,29 @@ class TestValidate:
         config = scenario_file(tmp_path, sweep={"both": [1]})
         assert main(["validate", "--config", str(config)]) == EXIT_INVALID
         assert "sweep axis" in capsys.readouterr().out
+
+
+class TestInputBoundary:
+    """Inputs that validate must reject, and that simulate must refuse with a message, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "system,overrides,needle",
+        [
+            ({"m": 8}, {}, "m must be one of"),
+            ({"m": 32}, {}, "m must be one of"),
+            ({"bandwidth_hz": "INFINITY"}, {}, "bandwidth_hz"),
+            ({"bandwidth_hz": True}, {}, "bandwidth_hz"),
+            ({}, {"sweep": {"es_n0_db": [-1e308]}}, "es_n0_db"),
+        ],
+        ids=["m-8", "m-32", "bandwidth-1e400", "bandwidth-true", "es_n0_db-noise-overflow"],
+    )
+    def test_both_commands_exit_invalid(self, tmp_path, capsys, system, overrides, needle):
+        config = scenario_file(tmp_path, **overrides)
+        data = json.loads(config.read_text())
+        data["system"].update(system)
+        # json.dumps cannot write 1e400; it parses to inf.
+        config.write_text(json.dumps(data).replace('"INFINITY"', "1e400"))
+        for command in ("validate", "simulate"):
+            assert main([command, "--config", str(config)]) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert needle in captured.out + captured.err

@@ -42,6 +42,9 @@ class TestConfig:
             dict(n_subcarriers=1),
             dict(spacing_hz=0.0),
             dict(m=5),
+            dict(m=8),
+            dict(spacing_hz=True),
+            dict(spacing_hz=float("inf")),
             dict(cp_len=-1),
             dict(index_mode="dual-active"),
         ],

@@ -102,6 +102,12 @@ class TestValidation:
             (dict(delta_f_hz=0.0), "delta_f_hz"),
             (dict(delta_f_hz=-5.0), "delta_f_hz"),
             (dict(oversample=1), "oversample"),
+            (dict(m=8), "m must be"),
+            (dict(bandwidth_hz=float("inf")), "bandwidth_hz"),
+            (dict(bandwidth_hz=True), "bandwidth_hz"),
+            (dict(delta_f_hz="wide"), "delta_f_hz"),
+            (dict(oversample=float("nan")), "oversample"),
+            (dict(symbol_rate=5e-324), "overflow"),
         ],
     )
     def test_hard_errors(self, overrides, needle):
