@@ -1,0 +1,22 @@
+"""The quick demos run to completion against this source tree."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# link_simulation.py and offset_resolution.py take 5-12 s each and are left out.
+QUICK_DEMOS = ("bit_framing.py", "frequency_plan.py", "ofdm_equivalence.py", "efficiency_surfaces.py")
+
+
+@pytest.mark.parametrize("script", QUICK_DEMOS)
+def test_demo_exits_cleanly(script):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / script)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
