@@ -201,7 +201,7 @@ def validate_config(config: SystemConfig) -> ValidationReport:
         if not _is_real(value) or not value > 0:
             report.hard_errors.append(f"{name} must be a finite positive number, got {value!r}")
             scalars_ok = False
-    if not _is_real(config.delta_f_hz) or counts_ok and config.n > 1 and not config.delta_f_hz > 0:
+    if not _is_real(config.delta_f_hz) or (counts_ok and config.n > 1 and not config.delta_f_hz > 0):
         report.hard_errors.append(f"delta_f_hz must be a finite number, positive when n > 1, got {config.delta_f_hz!r}")
         scalars_ok = False
     if not _is_real(config.oversample) or not config.oversample >= 2:

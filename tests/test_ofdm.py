@@ -42,11 +42,11 @@ class TestConfig:
             dict(n_subcarriers=1),
             dict(spacing_hz=0.0),
             dict(m=5),
+            dict(cp_len=-1),
+            dict(index_mode="dual-active"),
             dict(m=8),
             dict(spacing_hz=True),
             dict(spacing_hz=float("inf")),
-            dict(cp_len=-1),
-            dict(index_mode="dual-active"),
         ],
     )
     def test_validation(self, overrides):
