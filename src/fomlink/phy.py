@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# Oracle candidates per block of offsets (512 KiB temporaries; larger blocks measured slower).
+_ORACLE_BLOCK_SAMPLES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,16 @@ def _conj_tones(offsets: tuple[float, ...], count: int, sample_rate: float) -> n
     """Rows are exp(-2j*pi*f_k*t/fs): matched filters for each plan offset."""
     t = np.arange(count)
     return np.exp(-2j * math.pi * np.outer(np.asarray(offsets), t) / sample_rate)
+
+
+@functools.lru_cache(maxsize=128)
+def _snap_regions(offsets: tuple[float, ...], padded: int, sample_rate: float) -> tuple[np.ndarray, ...]:
+    """FFT bins grouped by snapped offset: region regions[i] of spectrum[order] starts at starts[i]."""
+    freqs = np.fft.fftfreq(padded, d=1.0 / sample_rate)
+    nearest = np.abs(freqs[:, None] - np.asarray(offsets)[None, :]).argmin(axis=1)
+    order = np.argsort(nearest, kind="stable")
+    regions, starts = np.unique(nearest[order], return_index=True)
+    return order, starts, regions
 
 
 def synthesize_block(block: DataBlock, plan: FrequencyPlan, config: SystemConfig) -> BasebandSignal:
@@ -188,17 +200,12 @@ def matched_filter_bank(signal: BasebandSignal, plan: FrequencyPlan) -> np.ndarr
     return _conj_tones(plan.offsets, len(signal.samples), signal.sample_rate) @ signal.samples
 
 
-def _slice_metrics(c: np.ndarray, m: int, count: int) -> tuple[np.ndarray, list[int]]:
-    """Per-offset ML metric after slicing c_k / S, plus the sliced patterns."""
+def _slice_metrics(c: np.ndarray, m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-offset ML metric after slicing c_k / S (ties to the smaller pattern), plus the patterns."""
     table = constellation(m)
-    metrics = np.empty(len(c))
-    patterns: list[int] = []
-    for i, ck in enumerate(c):
-        pattern = int(np.argmin(np.abs(table - ck / count) ** 2))
-        a = table[pattern]
-        metrics[i] = -2.0 * (np.conj(a) * ck).real + abs(a) ** 2 * count
-        patterns.append(pattern)
-    return metrics, patterns
+    patterns = np.argmin(np.abs(table - (c / count)[:, None]) ** 2, axis=1)
+    a = table[patterns]
+    return -2.0 * (np.conj(a) * c).real + np.abs(a) ** 2 * count, patterns
 
 
 def _pick(metrics: np.ndarray) -> tuple[int, float]:
@@ -220,7 +227,7 @@ def detect_joint_ml(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> Dete
     c = matched_filter_bank(signal, plan)
     metrics, patterns = _slice_metrics(c, m, count)
     best, margin = _pick(metrics)
-    bits = _int_to_bits(patterns[best], (m - 1).bit_length())
+    bits = _int_to_bits(int(patterns[best]), (m - 1).bit_length())
     return DetectionResult(k_hat=best + 1, symbol_bits_hat=bits, metric=float(metrics[best]), runner_up_margin=margin)
 
 
@@ -257,15 +264,10 @@ def detect_two_stage(
     count = len(signal.samples)
     padded = zero_pad_factor * count
     spectrum = np.abs(np.fft.fft(signal.samples, n=padded))
-    freqs = np.fft.fftfreq(padded, d=1.0 / signal.sample_rate)
-    offsets = np.asarray(plan.offsets)
-    nearest = np.abs(freqs[:, None] - offsets[None, :]).argmin(axis=1)
+    order, starts, regions = _snap_regions(plan.offsets, padded, signal.sample_rate)
     # Peak magnitude within each offset's snap region; empty regions rank last.
-    peaks = np.zeros(len(offsets))
-    for i in range(len(offsets)):
-        region = spectrum[nearest == i]
-        if len(region):
-            peaks[i] = region.max()
+    peaks = np.zeros(plan.tx_count)
+    peaks[regions] = np.maximum.reduceat(spectrum[order], starts)
     best, margin = _pick(-peaks)
     c = matched_filter_bank(signal, plan)
     bits = demap_symbol(c[best] / count, m)
@@ -282,17 +284,14 @@ def brute_force_oracle(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> D
     count = len(signal.samples)
     table = constellation(m)
     tones = np.conj(_conj_tones(plan.offsets, count, signal.sample_rate))
-    per_offset = np.empty(plan.tx_count)
-    best_patterns: list[int] = []
-    for i in range(plan.tx_count):
-        candidates = table[:, None] * tones[i][None, :]
-        distances = np.abs(signal.samples[None, :] - candidates) ** 2
-        totals = distances.sum(axis=1)
-        pattern = int(np.argmin(totals))
-        per_offset[i] = totals[pattern]
-        best_patterns.append(pattern)
+    step = max(1, _ORACLE_BLOCK_SAMPLES // (m * count))
+    totals = np.concatenate([  # (n, m) squared distances, a block of offsets at a time
+        (np.abs(signal.samples - table[:, None] * tones[lo : lo + step, None, :]) ** 2).sum(axis=2)
+        for lo in range(0, plan.tx_count, step)
+    ])
+    per_offset = totals.min(axis=1)
     best, margin = _pick(per_offset)
-    bits = _int_to_bits(best_patterns[best], (m - 1).bit_length())
+    bits = _int_to_bits(int(totals[best].argmin()), (m - 1).bit_length())
     return DetectionResult(
         k_hat=best + 1, symbol_bits_hat=bits, metric=float(per_offset[best]), runner_up_margin=margin
     )

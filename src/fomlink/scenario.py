@@ -311,7 +311,8 @@ def validate_scenario_or_config(data: dict) -> ValidationReport:
         inner = validate_config(SystemConfig.from_dict(data))
     except ValueError as exc:
         inner = ValidationReport(hard_errors=[str(exc)])
-    report.hard_errors.extend(e for e in inner.hard_errors if e not in report.hard_errors)
+    # A system error inside a scenario is already in the scenario error's message.
+    report.hard_errors.extend(e for e in inner.hard_errors if not any(e in r for r in report.hard_errors))
     report.soft_warnings.extend(inner.soft_warnings)
     return report
 

@@ -34,6 +34,9 @@ __all__ = [
 OFFSET_TO_CARRIER_WARN = 1e-3
 EXPANSION_TO_BAND_WARN = 0.5
 MIN_SAMPLES_PER_SYMBOL = 8
+# Cap on n * samples per symbol, the size of the matched-filter table (64 MiB of
+# complex128); the 128 x 256 design point at 20 MHz uses 747,648.
+MAX_FILTER_BANK_SAMPLES = 1 << 22
 
 _CONFIG_KEYS = (
     "n",
@@ -183,7 +186,8 @@ def validate_config(config: SystemConfig) -> ValidationReport:
     that is not a power of two, an m outside codec.SUPPORTED_M, scalars that
     are not finite numbers, nonpositive bandwidth / symbol rate / offset /
     carrier, oversample below 2, or a sample count per symbol interval that
-    overflows or falls below MIN_SAMPLES_PER_SYMBOL.  Soft warnings
+    overflows, falls below MIN_SAMPLES_PER_SYMBOL, or times n exceeds
+    MAX_FILTER_BANK_SAMPLES.  Soft warnings
     flag parameter sets that are simulatable but strain the design
     approximations: offsets that are not small next to the carrier
     (delta_f / carrier > 1e-3) or a bandwidth expansion that is not small
@@ -219,6 +223,11 @@ def validate_config(config: SystemConfig) -> ValidationReport:
             report.hard_errors.append(
                 f"only {round(spb)} samples per symbol at sample rate {config.sample_rate:g} Hz; "
                 f"need at least {MIN_SAMPLES_PER_SYMBOL} (raise oversample or bandwidth)"
+            )
+        elif config.n * round(spb) > MAX_FILTER_BANK_SAMPLES:
+            report.hard_errors.append(
+                f"n * samples per symbol = {config.n * round(spb)} exceeds {MAX_FILTER_BANK_SAMPLES}, "
+                "the largest matched-filter table simulated (lower n, oversample or bandwidth)"
             )
         if config.n > 1:
             offset_ratio = config.delta_f_hz / config.carrier_hz

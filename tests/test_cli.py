@@ -224,3 +224,19 @@ class TestInputBoundary:
             assert main([command, "--config", str(config)]) == EXIT_INVALID
             captured = capsys.readouterr()
             assert needle in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "system",
+        [{"oversample": "NAN"}, {"symbol_rate": 5e-324}, {"bandwidth_hz": 1e15, "carrier_hz": 1e18}],
+        ids=["oversample-nan", "symbol_rate-5e-324", "oversized-filter-bank"],
+    )
+    def test_one_error_line_that_simulate_repeats(self, tmp_path, capsys, system):
+        config = scenario_file(tmp_path)
+        data = json.loads(config.read_text())
+        data["system"].update(system)
+        config.write_text(json.dumps(data).replace('"NAN"', "NaN"))
+        assert main(["validate", "--config", str(config)]) == EXIT_INVALID
+        errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("ERROR:")]
+        assert len(errors) == 1
+        assert main(["simulate", "--config", str(config)]) == EXIT_INVALID
+        assert capsys.readouterr().err.strip() == "error: " + errors[0].removeprefix("ERROR: ")

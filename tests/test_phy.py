@@ -1,14 +1,22 @@
 """Waveform synthesis, the AWGN channel, and the detector family."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fomlink.codec import DataBlock, constellation, demap_index, map_symbol
+from fomlink.codec import DataBlock, constellation, demap_index, demap_symbol, map_symbol
 from fomlink.phy import (
     BasebandSignal,
     ChannelSpec,
+    DetectionResult,
+    _conj_tones,
+    _pick,
+    _slice_metrics,
+    _snap_regions,
     apply_carrier_freq_error,
     apply_phase_rotation,
     awgn,
@@ -340,3 +348,152 @@ class TestDetectors:
         got = detect_joint_ml(signal, plan, 4)
         assert got.k_hat == 1
         assert got.runner_up_margin == 0.0
+
+
+# Literal per-offset references: the detectors as one Python loop over the n
+# offsets.  The array kernels must reach the same decisions, ties included.
+# Two-stage and the oracle also match the metrics bit for bit; joint-ml's
+# metric now comes from numpy's array complex multiply and abs, which round
+# differently from its scalar path, so it matches to a few ulps of S.
+def reference_slice(c, m, count):
+    table = constellation(m)
+    metrics = np.empty(len(c))
+    patterns = []
+    for i, ck in enumerate(c):
+        pattern = int(np.argmin(np.abs(table - ck / count) ** 2))
+        a = table[pattern]
+        metrics[i] = -2.0 * (np.conj(a) * ck).real + abs(a) ** 2 * count
+        patterns.append(pattern)
+    return metrics, patterns
+
+
+def bits_of(pattern, m):
+    width = (m - 1).bit_length()
+    return tuple((pattern >> (width - 1 - i)) & 1 for i in range(width))
+
+
+def reference_joint_ml(signal, plan, m):
+    metrics, patterns = reference_slice(matched_filter_bank(signal, plan), m, len(signal))
+    best, margin = _pick(metrics)
+    return DetectionResult(best + 1, bits_of(patterns[best], m), float(metrics[best]), margin)
+
+
+def reference_two_stage(signal, plan, m, zero_pad_factor=16):
+    count = len(signal)
+    padded = zero_pad_factor * count
+    spectrum = np.abs(np.fft.fft(signal.samples, n=padded))
+    freqs = np.fft.fftfreq(padded, d=1.0 / signal.sample_rate)
+    nearest = np.abs(freqs[:, None] - np.asarray(plan.offsets)[None, :]).argmin(axis=1)
+    peaks = np.zeros(plan.tx_count)
+    for i in range(plan.tx_count):
+        region = spectrum[nearest == i]
+        if len(region):
+            peaks[i] = region.max()
+    best, margin = _pick(-peaks)
+    bits = demap_symbol(matched_filter_bank(signal, plan)[best] / count, m)
+    return DetectionResult(best + 1, bits, float(-peaks[best]), margin)
+
+
+def reference_oracle(signal, plan, m):
+    table = constellation(m)
+    tones = np.conj(_conj_tones(plan.offsets, len(signal), signal.sample_rate))
+    per_offset = np.empty(plan.tx_count)
+    patterns = []
+    for i in range(plan.tx_count):
+        totals = (np.abs(signal.samples[None, :] - table[:, None] * tones[i][None, :]) ** 2).sum(axis=1)
+        patterns.append(int(np.argmin(totals)))
+        per_offset[i] = totals[patterns[-1]]
+    best, margin = _pick(per_offset)
+    return DetectionResult(best + 1, bits_of(patterns[best], m), float(per_offset[best]), margin)
+
+
+def assert_same_joint_ml(got, want, count):
+    assert (got.k_hat, got.symbol_bits_hat) == (want.k_hat, want.symbol_bits_hat)
+    assert got.metric == pytest.approx(want.metric, rel=1e-12, abs=1e-12 * count)
+    assert got.runner_up_margin == pytest.approx(want.runner_up_margin, rel=1e-12, abs=1e-12 * count)
+
+
+def zero_signal(config):
+    return BasebandSignal(
+        samples=np.zeros(config.samples_per_symbol, dtype=complex),
+        sample_rate=config.sample_rate,
+        duration=1.0 / config.symbol_rate,
+    )
+
+
+class TestKernelsMatchPerOffsetLoops:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 8, 16]),
+        m=st.sampled_from([2, 4, 16, 64]),
+        df_t=st.sampled_from([0.1, 0.25, 1.0]),
+        es_n0_db=st.floats(-5.0, 30.0),
+        phase=st.floats(0.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_noisy_blocks(self, n, m, df_t, es_n0_db, phase, seed):
+        config = link_config(n=n, m=m, df_t=df_t)
+        plan = build_frequency_plan(config)
+        rng = np.random.default_rng(seed)
+        signal = apply_phase_rotation(synthesize_block(random_block(rng, n, m), plan, config), phase)
+        signal = awgn(signal, es_n0_db, rng)
+        assert_same_joint_ml(detect_joint_ml(signal, plan, m), reference_joint_ml(signal, plan, m), len(signal))
+        for pad in (1, 4):
+            assert detect_two_stage(signal, plan, m, pad) == reference_two_stage(signal, plan, m, pad)
+        assert brute_force_oracle(signal, plan, m) == reference_oracle(signal, plan, m)
+
+    @pytest.mark.parametrize("m", [2, 4, 16, 64])
+    def test_slicing_boundary_ties_go_to_the_smaller_pattern(self, m):
+        table = constellation(m)
+        count = 64
+        # The origin and each point's real part lie at equal distance from
+        # mirror-image points; the sign symmetry makes those ties exact.
+        c = count * np.concatenate([[0.0], table.real, 1j * table.imag])
+        metrics, patterns = _slice_metrics(c, m, count)
+        want_metrics, want_patterns = reference_slice(c, m, count)
+        assert patterns.tolist() == want_patterns
+        assert metrics == pytest.approx(want_metrics, rel=1e-12, abs=1e-12 * count)
+        for ck, pattern in zip(c, patterns):
+            d = np.abs(table - ck / count) ** 2
+            assert pattern == np.flatnonzero(d == d.min())[0]
+        energy = np.abs(table) ** 2
+        assert np.count_nonzero(energy == energy.min()) > 1  # so c = 0 is a tie
+
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_all_zero_block(self, m):
+        config = link_config(n=8, m=m)
+        plan = build_frequency_plan(config)
+        signal = zero_signal(config)
+        got = detect_joint_ml(signal, plan, m)
+        assert_same_joint_ml(got, reference_joint_ml(signal, plan, m), len(signal))
+        assert (got.k_hat, got.runner_up_margin) == (1, 0.0)
+        assert detect_two_stage(signal, plan, m) == reference_two_stage(signal, plan, m)
+        assert brute_force_oracle(signal, plan, m) == reference_oracle(signal, plan, m)
+
+    def test_two_stage_with_empty_snap_regions(self):
+        config = link_config(n=8, m=4, df_t=0.1)
+        plan = build_frequency_plan(config)
+        _, _, regions = _snap_regions(plan.offsets, config.samples_per_symbol, config.sample_rate)
+        assert 0 < len(regions) < plan.tx_count
+        rng = np.random.default_rng(5)
+        for block, _, _ in all_blocks(8, 4):
+            signal = synthesize_block(block, plan, config)
+            for received in (signal, awgn(signal, 5.0, rng)):
+                got = detect_two_stage(received, plan, 4, zero_pad_factor=1)
+                assert got == reference_two_stage(received, plan, 4, zero_pad_factor=1)
+                assert got.k_hat - 1 in regions
+
+    def test_oracle_blocks_bound_memory_at_the_design_point(self):
+        # One (n, m, S) candidate array would take 128 * 256 * 1024 * 16 B = 512 MiB.
+        config = link_config(n=128, m=256)
+        plan = build_frequency_plan(config)
+        rng = np.random.default_rng(11)
+        signal = awgn(synthesize_block(random_block(rng, 128, 256), plan, config), 30.0, rng)
+        tracemalloc.start()
+        try:
+            got = brute_force_oracle(signal, plan, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert got == reference_oracle(signal, plan, 256)

@@ -295,6 +295,18 @@ class TestMonteCarlo:
         _, hi_tight = wilson_interval(round(rates[-1] * trials), trials)
         assert hi_tight < lo_wide
 
+    @pytest.mark.parametrize("m,snrs", [(4, (4.0, 6.0, 8.0)), (16, (12.0, 14.0, 16.0)), (64, (18.0, 20.0, 22.0))])
+    def test_single_transmitter_ser_matches_square_qam(self, m, snrs):
+        # With n = 1 only the slicer decides: square-QAM SER = 1 - (1 - p)^2,
+        # p = (1 - 1/sqrt(m)) * erfc(sqrt(3 * Es/N0 / (2 * (m - 1)))) (Proakis).
+        trials = 3000
+        system = {**scenario_dict()["system"], "n": 1, "m": m}
+        s = scenario_from_dict(scenario_dict(system=system, trials=trials, sweep={"es_n0_db": list(snrs)}))
+        for row in run_monte_carlo(s):
+            p = (1 - 1 / math.sqrt(m)) * math.erfc(math.sqrt(3 * 10 ** (row.es_n0_db / 10) / (2 * (m - 1))))
+            lo, hi = wilson_interval(round(row.symbol_error_rate * trials), trials)
+            assert lo <= 1 - (1 - p) ** 2 <= hi, (row.es_n0_db, row.symbol_error_rate, 1 - (1 - p) ** 2)
+
     def test_ofdm_rows(self):
         s = scenario_from_dict(scenario_dict(mode="ofdm", trials=300, channel={"es_n0_db": 15.0}))
         row = run_monte_carlo(s)[0]
