@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import IO, Iterable
 
 import numpy as np
@@ -36,7 +36,7 @@ from .phy import (
     detect_two_stage,
     synthesize_block,
 )
-from .system import SystemConfig, ValidationReport, build_frequency_plan, validate_config
+from .system import SystemConfig, ValidationReport, _checked_fields, build_frequency_plan, validate_config
 from .analytics import GridSpec, _fmt, grid_sweep, write_efficiency_csv
 
 __all__ = [
@@ -59,10 +59,6 @@ __all__ = [
 DETECTORS = ("joint-ml", "two-stage", "oracle")
 MODES = ("fom", "ofdm")
 SWEEP_AXES = ("es_n0_db", "df_t")
-METRICS_HEADER = (
-    "mode,detector,n,m,es_n0_db,df_t,trials,index_error_rate,symbol_error_rate,"
-    "block_error_rate,bit_error_rate,mean_runner_up_margin,seed"
-)
 
 _CHUNK = 1024
 _DUMP_BLOCKS = 8
@@ -98,27 +94,9 @@ class Scenario:
     zero_pad_factor: int = 16
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "system": self.system.to_dict(),
-            "channel": {
-                "es_n0_db": None if self.channel.es_n0_db == math.inf else self.channel.es_n0_db,
-                "phase_rotation": self.channel.phase_rotation,
-                "carrier_freq_error": self.channel.carrier_freq_error,
-            },
-            "detector": self.detector,
-            "mode": self.mode,
-            "trials": self.trials,
-            "seed": self.seed,
-            "zero_pad_factor": self.zero_pad_factor,
-        }
-        if self.ofdm is not None:
-            out["ofdm"] = {
-                "n_subcarriers": self.ofdm.n_subcarriers,
-                "spacing_hz": self.ofdm.spacing_hz,
-                "cp_len": self.ofdm.cp_len,
-                "index_mode": self.ofdm.index_mode,
-                "m": self.ofdm.m,
-            }
+        """The JSON form: a noiseless es_n0_db is null, a sweep is {axis: [values]}, unset records are left out."""
+        out = {k: v for k, v in asdict(self).items() if v is not None}
+        out["channel"]["es_n0_db"] = None if self.channel.es_n0_db == math.inf else self.channel.es_n0_db
         if self.sweep is not None:
             out["sweep"] = {self.sweep.axis: [None if v == math.inf else v for v in self.sweep.values]}
         return out
@@ -141,13 +119,7 @@ class MetricsRow:
     seed: int
 
 
-def _require_keys(data: dict, allowed: Iterable[str], required: Iterable[str], what: str) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ScenarioError(f"unknown {what} keys: {', '.join(unknown)}")
-    missing = sorted(set(required) - set(data))
-    if missing:
-        raise ScenarioError(f"missing {what} keys: {', '.join(missing)}")
+METRICS_HEADER = ",".join(f.name for f in fields(MetricsRow))
 
 
 def _parse_es_n0(value) -> float:
@@ -163,33 +135,22 @@ def _parse_es_n0(value) -> float:
     raise ScenarioError(f"es_n0_db must be a number or null (noiseless) with finite noise power, got {value!r}")
 
 
-def _parse_channel(data: dict) -> ChannelSpec:
-    _require_keys(data, ("es_n0_db", "phase_rotation", "carrier_freq_error"), ("es_n0_db",), "channel")
+def _parse_channel(data) -> ChannelSpec:
+    values = _checked_fields(ChannelSpec, data, "channel", ScenarioError)
     try:
         return ChannelSpec(
-            es_n0_db=_parse_es_n0(data["es_n0_db"]),
-            phase_rotation=float(data.get("phase_rotation", 0.0)),
-            carrier_freq_error=float(data.get("carrier_freq_error", 0.0)),
+            es_n0_db=_parse_es_n0(values["es_n0_db"]),
+            phase_rotation=float(values["phase_rotation"]),
+            carrier_freq_error=float(values["carrier_freq_error"]),
         )
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad channel spec: {exc}") from exc
 
 
-def _parse_ofdm(data: dict) -> OfdmConfig:
-    _require_keys(
-        data,
-        ("n_subcarriers", "spacing_hz", "cp_len", "index_mode", "m"),
-        ("n_subcarriers", "spacing_hz", "m"),
-        "ofdm",
-    )
+def _parse_ofdm(data) -> OfdmConfig:
+    checked = _checked_fields(OfdmConfig, data, "ofdm", ScenarioError)
     try:
-        return OfdmConfig(
-            n_subcarriers=data["n_subcarriers"],
-            spacing_hz=data["spacing_hz"],
-            m=data["m"],
-            cp_len=data.get("cp_len", 0),
-            index_mode=data.get("index_mode", "single-active"),
-        )
+        return OfdmConfig(**checked)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad ofdm spec: {exc}") from exc
 
@@ -213,14 +174,7 @@ def _parse_sweep(data: dict) -> Sweep:
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Parse and cross-validate a scenario object.  Unknown keys are errors."""
-    if not isinstance(data, dict):
-        raise ScenarioError(f"scenario must be a JSON object, got {type(data).__name__}")
-    _require_keys(
-        data,
-        ("system", "channel", "detector", "mode", "ofdm", "trials", "seed", "sweep", "zero_pad_factor"),
-        ("system", "channel", "detector", "trials", "seed"),
-        "scenario",
-    )
+    data = _checked_fields(Scenario, data, "scenario", ScenarioError)
     try:
         system = SystemConfig.from_dict(data["system"])
     except ValueError as exc:
@@ -229,7 +183,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     detector = data["detector"]
     if detector not in DETECTORS:
         raise ScenarioError(f"detector must be one of {DETECTORS}, got {detector!r}")
-    mode = data.get("mode", "fom")
+    mode = data["mode"]
     if mode not in MODES:
         raise ScenarioError(f"mode must be one of {MODES}, got {mode!r}")
     trials = data["trials"]
@@ -238,22 +192,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     seed = data["seed"]
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ScenarioError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    zero_pad = data.get("zero_pad_factor", 16)
+    zero_pad = data["zero_pad_factor"]
     if not isinstance(zero_pad, int) or isinstance(zero_pad, bool) or zero_pad < 1:
         raise ScenarioError(f"zero_pad_factor must be an integer >= 1, got {zero_pad!r}")
-    ofdm = _parse_ofdm(data["ofdm"]) if data.get("ofdm") is not None else None
-    sweep = _parse_sweep(data["sweep"]) if data.get("sweep") is not None else None
-    scenario = Scenario(
-        system=system,
-        channel=channel,
-        detector=detector,
-        trials=trials,
-        seed=seed,
-        mode=mode,
-        ofdm=ofdm,
-        sweep=sweep,
-        zero_pad_factor=zero_pad,
-    )
+    ofdm = _parse_ofdm(data["ofdm"]) if data["ofdm"] is not None else None
+    sweep = _parse_sweep(data["sweep"]) if data["sweep"] is not None else None
+    scenario = Scenario(**{**data, "system": system, "channel": channel, "ofdm": ofdm, "sweep": sweep})
     _cross_validate(scenario)
     return scenario
 
@@ -468,22 +412,7 @@ def write_metrics_csv(rows: Iterable[MetricsRow], scenario: Scenario, out: IO[st
     out.write(f"# scenario: {json.dumps(scenario.to_dict(), sort_keys=True)}\n")
     out.write(METRICS_HEADER + "\n")
     for r in rows:
-        fields = (
-            r.mode,
-            r.detector,
-            str(r.n),
-            str(r.m),
-            _fmt(r.es_n0_db),
-            _fmt(r.df_t),
-            str(r.trials),
-            _fmt(r.index_error_rate),
-            _fmt(r.symbol_error_rate),
-            _fmt(r.block_error_rate),
-            _fmt(r.bit_error_rate),
-            _fmt(r.mean_runner_up_margin),
-            str(r.seed),
-        )
-        out.write(",".join(fields) + "\n")
+        out.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in astuple(r)) + "\n")
 
 
 def run_efficiency_grid(spec: GridSpec, out: IO[str]) -> None:

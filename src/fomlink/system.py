@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .codec import SUPPORTED_M, _is_power_of_two
 
@@ -38,15 +38,23 @@ MIN_SAMPLES_PER_SYMBOL = 8
 # complex128); the 128 x 256 design point at 20 MHz uses 747,648.
 MAX_FILTER_BANK_SAMPLES = 1 << 22
 
-_CONFIG_KEYS = (
-    "n",
-    "m",
-    "bandwidth_hz",
-    "delta_f_hz",
-    "symbol_rate",
-    "carrier_hz",
-    "oversample",
-)
+
+def _checked_fields(cls, data, what: str, error: type[ValueError] = ValueError) -> dict:
+    """Parsed JSON ``data`` as keyword arguments for the dataclass ``cls``, defaults filled in.
+
+    The dataclass fields are the schema: ``data`` must be an object whose keys
+    are fields, holding every field that has no default.
+    """
+    if not isinstance(data, dict):
+        raise error(f"{what} must be a JSON object, got {type(data).__name__}")
+    schema = fields(cls)
+    unknown = sorted(set(data) - {f.name for f in schema})
+    if unknown:
+        raise error(f"unknown {what} keys: {', '.join(unknown)}")
+    missing = sorted(f.name for f in schema if f.name not in data and f.default is MISSING)
+    if missing:
+        raise error(f"missing {what} keys: {', '.join(missing)}")
+    return {f.name: data.get(f.name, f.default) for f in schema}
 
 
 @dataclass(frozen=True)
@@ -94,15 +102,7 @@ class SystemConfig:
         return (self.m - 1).bit_length()
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "bandwidth_hz": self.bandwidth_hz,
-            "delta_f_hz": self.delta_f_hz,
-            "symbol_rate": self.symbol_rate,
-            "carrier_hz": self.carrier_hz,
-            "oversample": self.oversample,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -110,24 +110,7 @@ class SystemConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SystemConfig":
         """Build a config from parsed JSON.  Unknown keys are an error."""
-        if not isinstance(data, dict):
-            raise ValueError(f"system config must be a JSON object, got {type(data).__name__}")
-        unknown = sorted(set(data) - set(_CONFIG_KEYS))
-        if unknown:
-            raise ValueError(f"unknown system config keys: {', '.join(unknown)}")
-        required = [k for k in _CONFIG_KEYS if k != "oversample"]
-        missing = sorted(set(required) - set(data))
-        if missing:
-            raise ValueError(f"missing system config keys: {', '.join(missing)}")
-        return cls(
-            n=data["n"],
-            m=data["m"],
-            bandwidth_hz=data["bandwidth_hz"],
-            delta_f_hz=data["delta_f_hz"],
-            symbol_rate=data["symbol_rate"],
-            carrier_hz=data["carrier_hz"],
-            oversample=data.get("oversample", 4),
-        )
+        return cls(**_checked_fields(cls, data, "system config"))
 
     @classmethod
     def from_json(cls, text: str) -> "SystemConfig":
