@@ -53,8 +53,10 @@ class OfdmConfig:
             raise ValueError(f"spacing_hz must be a finite positive number, got {self.spacing_hz!r}")
         if not _is_power_of_two(self.m) or self.m not in SUPPORTED_M:
             raise ValueError(f"m must be one of {SUPPORTED_M}, got {self.m!r}")
-        if not isinstance(self.cp_len, int) or self.cp_len < 0:
+        if isinstance(self.cp_len, bool) or not isinstance(self.cp_len, int) or self.cp_len < 0:
             raise ValueError(f"cp_len must be a nonnegative integer, got {self.cp_len!r}")
+        if self.cp_len > self.n_subcarriers:
+            raise ValueError(f"cp_len must not exceed n_subcarriers ({self.n_subcarriers}), got {self.cp_len}")
         if self.index_mode not in INDEX_MODES:
             raise ValueError(f"index_mode must be one of {INDEX_MODES}, got {self.index_mode!r}")
 

@@ -36,7 +36,16 @@ from .phy import (
     detect_two_stage,
     synthesize_block,
 )
-from .system import SystemConfig, ValidationReport, _checked_fields, build_frequency_plan, validate_config
+from .system import (
+    MAX_ORACLE_BLOCK_SAMPLES,
+    MAX_SNAP_TABLE_ENTRIES,
+    SystemConfig,
+    ValidationReport,
+    _checked_fields,
+    _is_real,
+    build_frequency_plan,
+    validate_config,
+)
 from .analytics import GridSpec, _fmt, grid_sweep, write_efficiency_csv
 
 __all__ = [
@@ -137,13 +146,16 @@ def _parse_es_n0(value) -> float:
 
 def _parse_channel(data) -> ChannelSpec:
     values = _checked_fields(ChannelSpec, data, "channel", ScenarioError)
+    for name in ("phase_rotation", "carrier_freq_error"):
+        if not _is_real(values[name]):
+            raise ScenarioError(f"bad channel spec: {name} must be a finite number, got {values[name]!r}")
     try:
         return ChannelSpec(
             es_n0_db=_parse_es_n0(values["es_n0_db"]),
             phase_rotation=float(values["phase_rotation"]),
             carrier_freq_error=float(values["carrier_freq_error"]),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"bad channel spec: {exc}") from exc
 
 
@@ -151,7 +163,7 @@ def _parse_ofdm(data) -> OfdmConfig:
     checked = _checked_fields(OfdmConfig, data, "ofdm", ScenarioError)
     try:
         return OfdmConfig(**checked)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"bad ofdm spec: {exc}") from exc
 
 
@@ -216,17 +228,36 @@ def _cross_validate(scenario: Scenario) -> None:
             raise ScenarioError(f"ofdm mode supports only the joint-ml detector, got {scenario.detector!r}")
         if scenario.sweep is not None and scenario.sweep.axis == "df_t":
             raise ScenarioError("df_t sweeps require fom mode (subcarrier spacing is fixed by the frame)")
-        if scenario.ofdm is None:
-            try:
-                fom_to_ofdm_params(scenario.system)
-            except ValueError as exc:
-                raise ScenarioError(str(exc)) from exc
-        return
+    elif scenario.ofdm is not None:
+        raise ScenarioError(f"an ofdm object needs mode 'ofdm', got mode {scenario.mode!r}")
     for config in _swept_configs(scenario):
         report = validate_config(config)
         if report.hard_errors:
             raise ScenarioError(
                 f"invalid system config (delta_f_hz={config.delta_f_hz!r}): " + "; ".join(report.hard_errors)
+            )
+        samples = config.samples_per_symbol
+        if scenario.detector == "two-stage" and scenario.zero_pad_factor * config.n * samples > MAX_SNAP_TABLE_ENTRIES:
+            raise ScenarioError(
+                f"zero_pad_factor * n * samples per symbol = {scenario.zero_pad_factor * config.n * samples} "
+                f"(delta_f_hz={config.delta_f_hz!r}) exceeds {MAX_SNAP_TABLE_ENTRIES}, "
+                "the largest two-stage snap table simulated (lower zero_pad_factor)"
+            )
+        if scenario.detector == "oracle" and config.m * samples > MAX_ORACLE_BLOCK_SAMPLES:
+            raise ScenarioError(
+                f"m * samples per symbol = {config.m * samples} (delta_f_hz={config.delta_f_hz!r}) "
+                f"exceeds {MAX_ORACLE_BLOCK_SAMPLES}, the largest oracle block simulated"
+            )
+    if scenario.mode == "ofdm":
+        given = scenario.ofdm
+        try:
+            frame = fom_to_ofdm_params(scenario.system, *((given.index_mode, given.cp_len) if given else ()))
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
+        if given not in (None, frame):
+            raise ScenarioError(
+                f"ofdm object contradicts system, whose OFDM twin has n_subcarriers={frame.n_subcarriers}, "
+                f"spacing_hz={frame.spacing_hz!r} and m={frame.m}"
             )
 
 
@@ -362,7 +393,7 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] 
             n, m = config.n, config.m
             df_t = config.delta_f_hz / config.symbol_rate
         else:
-            point = scenario.ofdm if scenario.ofdm is not None else fom_to_ofdm_params(scenario.system)
+            point = scenario.ofdm or fom_to_ofdm_params(scenario.system)
             n, m = point.n_subcarriers, point.m
             df_t = 1.0
 

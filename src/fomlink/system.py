@@ -34,9 +34,18 @@ __all__ = [
 OFFSET_TO_CARRIER_WARN = 1e-3
 EXPANSION_TO_BAND_WARN = 0.5
 MIN_SAMPLES_PER_SYMBOL = 8
-# Cap on n * samples per symbol, the size of the matched-filter table (64 MiB of
-# complex128); the 128 x 256 design point at 20 MHz uses 747,648.
+# Caps on the arrays the detectors build, so that what validates can be
+# allocated.  Each is 4M entries (64 MiB of complex128) and lies far above
+# every use in the tests, demos and benchmark (largest use in brackets).
+# n * samples per symbol, the matched-filter table [747,648: 128 x 256 at 20 MHz].
 MAX_FILTER_BANK_SAMPLES = 1 << 22
+# n * m, joint-ml's slicing table and the oracle's distance table [32,768].
+MAX_SLICE_TABLE_ENTRIES = 1 << 22
+# zero_pad_factor * n * samples per symbol: two-stage maps each of its
+# zero_pad_factor * samples-per-symbol FFT bins to the nearest of n offsets [8,192].
+MAX_SNAP_TABLE_ENTRIES = 1 << 22
+# m * samples per symbol, the oracle's candidate waveforms for one offset [2,048].
+MAX_ORACLE_BLOCK_SAMPLES = 1 << 22
 
 
 def _checked_fields(cls, data, what: str, error: type[ValueError] = ValueError) -> dict:
@@ -170,14 +179,18 @@ def validate_config(config: SystemConfig) -> ValidationReport:
     are not finite numbers, nonpositive bandwidth / symbol rate / offset /
     carrier, oversample below 2, or a sample count per symbol interval that
     overflows, falls below MIN_SAMPLES_PER_SYMBOL, or times n exceeds
-    MAX_FILTER_BANK_SAMPLES.  Soft warnings
-    flag parameter sets that are simulatable but strain the design
+    MAX_FILTER_BANK_SAMPLES, and n * m above MAX_SLICE_TABLE_ENTRIES.  Soft
+    warnings flag parameter sets that are simulatable but strain the design
     approximations: offsets that are not small next to the carrier
     (delta_f / carrier > 1e-3) or a bandwidth expansion that is not small
     next to the band itself (delta_b / bandwidth > 0.5).
     """
     report = ValidationReport()
     counts_ok = _check_counts(config, report)
+    if counts_ok and config.n * config.m > MAX_SLICE_TABLE_ENTRIES:
+        report.hard_errors.append(
+            f"n * m = {config.n * config.m} exceeds {MAX_SLICE_TABLE_ENTRIES}, the largest slicing table simulated"
+        )
 
     scalars_ok = True
     for name, value in (

@@ -1,13 +1,20 @@
 """Command line entry points, exercised through main()."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fomlink.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
 
 
-def scenario_file(tmp_path, **overrides):
+def scenario_data(**overrides):
     data = {
         "system": {
             "n": 8,
@@ -24,8 +31,12 @@ def scenario_file(tmp_path, **overrides):
         "seed": 42,
     }
     data.update(overrides)
+    return data
+
+
+def scenario_file(tmp_path, **overrides):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(scenario_data(**overrides)))
     return path
 
 
@@ -211,8 +222,46 @@ class TestInputBoundary:
             ({"bandwidth_hz": "INFINITY"}, {}, "bandwidth_hz"),
             ({"bandwidth_hz": True}, {}, "bandwidth_hz"),
             ({}, {"sweep": {"es_n0_db": [-1e308]}}, "es_n0_db"),
+            ({}, {"channel": [1]}, "channel must be a JSON object, got list"),
+            ({}, {"mode": "ofdm", "ofdm": 5}, "ofdm must be a JSON object, got int"),
+            ({"n": 3}, {"mode": "ofdm"}, "n must be"),
+            ({"oversample": 1}, {"mode": "ofdm", "ofdm": {"n_subcarriers": 8, "spacing_hz": 1.0, "m": 4}}, "oversample"),
+            ({}, {"mode": "ofdm", "ofdm": {"n_subcarriers": 16, "spacing_hz": 1.0, "m": 4}}, "contradicts system"),
+            ({}, {"mode": "ofdm", "ofdm": {"n_subcarriers": 8, "spacing_hz": 2.0, "m": 4}}, "contradicts system"),
+            ({}, {"mode": "ofdm", "ofdm": {"n_subcarriers": 8, "spacing_hz": 1.0, "m": 16}}, "contradicts system"),
+            ({}, {"ofdm": {"n_subcarriers": 8, "spacing_hz": 1.0, "m": 4}}, "needs mode 'ofdm'"),
+            ({}, {"detector": "two-stage", "zero_pad_factor": 5000000000000}, "zero_pad_factor"),
+            ({}, {"detector": "two-stage", "zero_pad_factor": 2**10, "sweep": {"df_t": [1.0, 64.0]}}, "zero_pad_factor"),
+            ({"n": 2**18, "m": 4096, "delta_f_hz": 1e-7}, {}, "n * m"),
+            ({"m": 4096, "bandwidth_hz": 1024.0}, {"detector": "oracle"}, "oracle"),
+            ({}, {"mode": "ofdm", "ofdm": {"n_subcarriers": 8, "spacing_hz": 1.0, "m": 4, "cp_len": 9}}, "cp_len"),
+            ({}, {"mode": "ofdm", "ofdm": {"n_subcarriers": 8, "spacing_hz": 1.0, "m": 4, "cp_len": True}}, "cp_len"),
+            ({}, {"channel": {"es_n0_db": 10.0, "phase_rotation": "1"}}, "phase_rotation"),
+            ({}, {"channel": {"es_n0_db": 10.0, "carrier_freq_error": True}}, "carrier_freq_error"),
         ],
-        ids=["m-8", "m-32", "bandwidth-1e400", "bandwidth-true", "es_n0_db-noise-overflow"],
+        ids=[
+            "m-8",
+            "m-32",
+            "bandwidth-1e400",
+            "bandwidth-true",
+            "es_n0_db-noise-overflow",
+            "channel-list",
+            "ofdm-int",
+            "ofdm-mode-n-3",
+            "ofdm-mode-oversample-1",
+            "ofdm-n_subcarriers-contradicts",
+            "ofdm-spacing-contradicts",
+            "ofdm-m-contradicts",
+            "ofdm-object-in-fom-mode",
+            "zero-pad-oversized",
+            "zero-pad-oversized-at-swept-df_t",
+            "slicing-table-oversized",
+            "oracle-block-oversized",
+            "cp_len-above-n_subcarriers",
+            "cp_len-true",
+            "phase_rotation-string",
+            "carrier_freq_error-true",
+        ],
     )
     def test_both_commands_exit_invalid(self, tmp_path, capsys, system, overrides, needle):
         config = scenario_file(tmp_path, **overrides)
@@ -240,3 +289,67 @@ class TestInputBoundary:
         assert len(errors) == 1
         assert main(["simulate", "--config", str(config)]) == EXIT_INVALID
         assert capsys.readouterr().err.strip() == "error: " + errors[0].removeprefix("ERROR: ")
+
+
+
+_DELETE = object()
+# Wrong JSON types, booleans, numeric strings, null, zero, negatives, values
+# that overflow, and values at the size and prefix bounds.
+_FUZZ_VALUES = (
+    _DELETE, None, True, False, 0, -1, -2.5, 0.5, 1, 3, 9, 4096, 2**18, 1e-7, 1e400, -1e400, 2**70, 10**400,
+    5000000000000, "1", "x", "ofdm", "oracle", "two-stage", "single-silent", [], [1], {},
+    {"df_t": [1.0, 64.0]}, {"es_n0_db": [None, 0]}, {"n_subcarriers": 8, "spacing_hz": 1.0, "m": 4},
+)
+_OFDM_FRAME = {"n_subcarriers": 8, "spacing_hz": 1.0, "m": 4, "cp_len": 2, "index_mode": "single-silent"}
+_FUZZ_BASES = (scenario_data(trials=4), scenario_data(trials=4, mode="ofdm", ofdm=_OFDM_FRAME))
+
+
+def _paths(node, prefix=()):
+    """Every key path in a scenario, plus optional and unknown keys at each level."""
+    yield prefix
+    if isinstance(node, dict):
+        for key in {*node, "bogus"}:
+            yield from _paths(node.get(key), prefix + (key,))
+
+
+_FUZZ_PATHS = sorted(
+    {p for base in _FUZZ_BASES for p in _paths({**base, "sweep": None, "zero_pad_factor": None, "mode": None})}
+    | {("channel", "phase_rotation"), ("channel", "carrier_freq_error")}
+)
+
+
+def _replace(data, path, value):
+    if not path:
+        return None if value is _DELETE else copy.deepcopy(value)
+    node = data
+    for key in path[:-1]:
+        node = node.get(key) if isinstance(node, dict) else None
+    if isinstance(node, dict):
+        if value is _DELETE:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = copy.deepcopy(value)
+    return data
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(_FUZZ_BASES),
+        st.lists(st.tuples(st.sampled_from(_FUZZ_PATHS), st.sampled_from(_FUZZ_VALUES)), min_size=1, max_size=2),
+    )
+    def test_validate_predicts_simulate(self, base, edits):
+        """No input raises, and validate's exit code is simulate's."""
+        data = copy.deepcopy(base)
+        for path, value in edits:
+            data = _replace(data, path, value)
+        trials = data.get("trials") if isinstance(data, dict) else None
+        assume(not (isinstance(trials, int) and trials > 4))
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "scenario.json"
+            config.write_text(json.dumps(data))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                validated = main(["validate", "--config", str(config)])
+                simulated = main(["simulate", "--config", str(config), "--out", str(Path(tmp) / "metrics.csv")])
+        assert validated in (EXIT_OK, EXIT_INVALID)
+        assert simulated == validated

@@ -47,6 +47,8 @@ class TestConfig:
             dict(m=8),
             dict(spacing_hz=True),
             dict(spacing_hz=float("inf")),
+            dict(cp_len=9),
+            dict(cp_len=True),
         ],
     )
     def test_validation(self, overrides):

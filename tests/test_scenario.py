@@ -139,12 +139,12 @@ class TestOfdmMode:
         assert rows[0].n == 8
 
     def test_explicit_frame(self):
-        s = scenario_from_dict(
-            scenario_dict(
-                mode="ofdm",
-                ofdm={"n_subcarriers": 16, "spacing_hz": 1.0, "m": 4, "cp_len": 2, "index_mode": "single-silent"},
-            )
+        data = scenario_dict(
+            mode="ofdm",
+            ofdm={"n_subcarriers": 16, "spacing_hz": 1.0, "m": 4, "cp_len": 2, "index_mode": "single-silent"},
         )
+        data["system"]["n"] = 16
+        s = scenario_from_dict(data)
         assert s.ofdm.n_subcarriers == 16
         assert s.ofdm.index_mode == "single-silent"
 
@@ -152,7 +152,9 @@ class TestOfdmMode:
         # 4 subcarriers and no prefix: 4 samples, below the tone link's 8-sample minimum.
         channel = {"es_n0_db": None, "phase_rotation": 0.1, "carrier_freq_error": 0.01}
         ofdm = {"n_subcarriers": 4, "spacing_hz": 1.0, "m": 4}
-        s = scenario_from_dict(scenario_dict(mode="ofdm", trials=32, channel=channel, ofdm=ofdm))
+        data = scenario_dict(mode="ofdm", trials=32, channel=channel, ofdm=ofdm)
+        data["system"]["n"] = 4
+        s = scenario_from_dict(data)
         row = run_monte_carlo(s)[0]
         assert row.n == 4
         assert row.block_error_rate == 0.0
