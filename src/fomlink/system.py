@@ -35,8 +35,8 @@ OFFSET_TO_CARRIER_WARN = 1e-3
 EXPANSION_TO_BAND_WARN = 0.5
 MIN_SAMPLES_PER_SYMBOL = 8
 # Caps on the arrays the detectors build, so that what validates can be
-# allocated.  Each is 4M entries (64 MiB of complex128) and lies far above
-# every use in the tests, demos and benchmark (largest use in brackets).
+# allocated.  Each is 4M entries (64 MiB of complex128), far above the
+# largest use in the tests, demos and benchmark (in brackets).
 # n * samples per symbol, the matched-filter table [747,648: 128 x 256 at 20 MHz].
 MAX_FILTER_BANK_SAMPLES = 1 << 22
 # n * m, joint-ml's slicing table and the oracle's distance table [32,768].
@@ -44,7 +44,8 @@ MAX_SLICE_TABLE_ENTRIES = 1 << 22
 # zero_pad_factor * n * samples per symbol: two-stage maps each of its
 # zero_pad_factor * samples-per-symbol FFT bins to the nearest of n offsets [8,192].
 MAX_SNAP_TABLE_ENTRIES = 1 << 22
-# m * samples per symbol, the oracle's candidate waveforms for one offset [2,048].
+# m * samples per symbol, the oracle's candidate waveforms for one offset
+# [262,144, in a test that calls the oracle directly].
 MAX_ORACLE_BLOCK_SAMPLES = 1 << 22
 
 
