@@ -48,8 +48,8 @@ class FrameResult:
 
 
 def _bit_tuple(bits: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
+    out = tuple(map(int, bits))
+    if not {0, 1}.issuperset(out):
         raise ValueError("bits must be 0 or 1")
     return out
 
@@ -72,6 +72,7 @@ def _bits_to_int(bits: Sequence[int]) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _int_to_bits(value: int, width: int) -> tuple[int, ...]:
     """The low ``width`` bits of value, MSB first; inverse of `_bits_to_int`."""
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
@@ -170,8 +171,8 @@ def demap_symbol(point: complex, m: int) -> tuple[int, ...]:
     """Nearest constellation pattern; exact distance ties go to the smaller one."""
     table = constellation(m)
     distances = np.abs(table - point) ** 2
-    pattern = int(np.argmin(distances))  # first minimum == smallest pattern
-    return _int_to_bits(pattern, _log2_count(m, "m"))
+    pattern = int(distances.argmin())  # first minimum == smallest pattern
+    return _int_to_bits(pattern, (m - 1).bit_length())
 
 
 def export_constellation_csv(m: int, out: IO[str]) -> None:

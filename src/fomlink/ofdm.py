@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import SUPPORTED_M, DataBlock, _bits_to_int, _is_power_of_two, constellation, demap_symbol, map_index
+from .codec import SUPPORTED_M, DataBlock, _bit_tuple, _bits_to_int, _is_power_of_two, constellation, demap_symbol, map_index
 from .phy import DetectionResult, awgn
 from .system import SystemConfig, _is_real
 
@@ -105,7 +105,7 @@ def _bins_for_block(block: DataBlock, cfg: OfdmConfig) -> np.ndarray:
     if len(block.symbol_bits) != width:
         raise ValueError(f"block has {len(block.symbol_bits)} symbol bits, m={cfg.m} needs {width}")
     k = map_index(block.index_bits)
-    a = constellation(cfg.m)[_bits_to_int(block.symbol_bits)]
+    a = constellation(cfg.m)[_bits_to_int(_bit_tuple(block.symbol_bits))]
     bins = np.zeros(n, dtype=np.complex128)
     if cfg.index_mode == "single-active":
         bins[k - 1] = a
@@ -140,16 +140,16 @@ def demodulate_frame(frame: OfdmFrame, cfg: OfdmConfig) -> DetectionResult:
     energies = np.abs(bins) ** 2
     if cfg.index_mode == "single-active":
         ranking = -energies
-        k_hat = int(np.argmin(ranking)) + 1
+        k_hat = int(ranking.argmin()) + 1
         estimate = bins[k_hat - 1]
     else:
         ranking = energies
-        k_hat = int(np.argmin(ranking)) + 1
+        k_hat = int(ranking.argmin()) + 1
         active = np.arange(cfg.n_subcarriers) != (k_hat - 1)
         weights = energies[active]
         total = weights.sum()
         estimate = (weights * bins[active]).sum() / total if total > 0 else 0.0 + 0.0j
-    order = np.argsort(ranking, kind="stable")
+    order = ranking.argsort(kind="stable")
     margin = float(ranking[order[1]] - ranking[order[0]])
     bits = demap_symbol(complex(estimate), cfg.m)
     return DetectionResult(

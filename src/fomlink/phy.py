@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import DataBlock, _bits_to_int, _int_to_bits, constellation, demap_symbol, map_index
+from .codec import DataBlock, _bit_tuple, _bits_to_int, _int_to_bits, constellation, demap_symbol, map_index
 from .system import SystemConfig, FrequencyPlan, MIN_SAMPLES_PER_SYMBOL
 
 __all__ = [
@@ -111,14 +112,77 @@ class DetectionResult:
     runner_up_margin: float
 
 
-@functools.lru_cache(maxsize=128)
+class _TableCache:
+    """Tables keyed by what they are computed from, the oldest evicted first.
+
+    Sweep points differ in offsets and sample rate, so each point builds new
+    tables; the bound is on bytes, not on entries, because one table can be
+    anything from a few KiB to 64 MiB (``system.MAX_FILTER_BANK_SAMPLES``).
+    """
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries: dict = {}
+        self._lock = threading.Lock()
+
+    def memoize(self, build):
+        """Decorator: keep ``build(*args)`` here, keyed by the builder and its arguments."""
+        entries = self._entries
+
+        @functools.wraps(build)
+        def lookup(*args):
+            key = (build, *args)
+            value = entries.get(key)
+            if value is None:
+                value = build(*args)
+                self._insert(key, value)
+            return value
+
+        return lookup
+
+    def _insert(self, key: tuple, value) -> None:
+        with self._lock:
+            if key in self._entries:
+                return
+            self._entries[key] = value
+            self.nbytes += _nbytes(value)
+            while self.nbytes > self.max_bytes:
+                oldest = next(iter(self._entries))
+                self.nbytes -= _nbytes(self._entries.pop(oldest))
+
+
+def _nbytes(value) -> int:
+    return sum(a.nbytes for a in value) if isinstance(value, tuple) else value.nbytes
+
+
+# Room for every table of one sweep point at the system.py size caps: two
+# 64 MiB tone tables, a 64 MiB CFO phasor, a 32 MiB snap order and the
+# slicing terms (128 KiB at most).
+_TABLES = _TableCache(max_bytes=1 << 28)
+
+
+@_TABLES.memoize
 def _conj_tones(offsets: tuple[float, ...], count: int, sample_rate: float) -> np.ndarray:
     """Rows are exp(-2j*pi*f_k*t/fs): matched filters for each plan offset."""
     t = np.arange(count)
     return np.exp(-2j * math.pi * np.outer(np.asarray(offsets), t) / sample_rate)
 
 
-@functools.lru_cache(maxsize=128)
+@_TABLES.memoize
+def _tones(offsets: tuple[float, ...], count: int, sample_rate: float) -> np.ndarray:
+    """Rows are exp(2j*pi*f_k*t/fs), the conjugates of `_conj_tones`."""
+    return np.conj(_conj_tones(offsets, count, sample_rate))
+
+
+@_TABLES.memoize
+def _cfo_phasor(delta_hz: float, count: int, sample_rate: float) -> np.ndarray:
+    """exp(2j*pi*delta_hz*t/fs) for t = 0 .. count-1."""
+    t = np.arange(count)
+    return np.exp(2j * math.pi * delta_hz * t / sample_rate)
+
+
+@_TABLES.memoize
 def _snap_regions(offsets: tuple[float, ...], padded: int, sample_rate: float) -> tuple[np.ndarray, ...]:
     """FFT bins grouped by snapped offset: region regions[i] of spectrum[order] starts at starts[i]."""
     freqs = np.fft.fftfreq(padded, d=1.0 / sample_rate)
@@ -138,10 +202,9 @@ def synthesize_block(block: DataBlock, plan: FrequencyPlan, config: SystemConfig
             f"block has {len(block.symbol_bits)} symbol bits, config with m={config.m} needs {config.symbol_bit_count}"
         )
     k = map_index(block.index_bits)
-    a = constellation(config.m)[_bits_to_int(block.symbol_bits)]
+    a = constellation(config.m)[_bits_to_int(_bit_tuple(block.symbol_bits))]
     fs = config.sample_rate
-    count = config.samples_per_symbol
-    tone = np.conj(_conj_tones(plan.offsets, count, fs)[k - 1])
+    tone = _tones(plan.offsets, config.samples_per_symbol, fs)[k - 1]
     return BasebandSignal(samples=a * tone, sample_rate=fs, duration=1.0 / config.symbol_rate)
 
 
@@ -149,8 +212,8 @@ def synthesize_block(block: DataBlock, plan: FrequencyPlan, config: SystemConfig
 # signal with ``samples`` and ``sample_rate``) and return the same type.
 def _with_samples(signal, samples: np.ndarray):
     if isinstance(signal, BasebandSignal):
-        return replace(signal, samples=samples)
-    return replace(signal, time_samples=samples)
+        return BasebandSignal(samples, signal.sample_rate, signal.duration)
+    return type(signal)(time_samples=samples, sample_rate=signal.sample_rate)
 
 
 def awgn(
@@ -186,8 +249,8 @@ def apply_phase_rotation(signal: BasebandSignal, theta: float) -> BasebandSignal
 
 def apply_carrier_freq_error(signal: BasebandSignal, delta_hz: float) -> BasebandSignal:
     """Shift the whole block by delta_hz; preserves energy."""
-    t = np.arange(len(signal.samples))
-    return _with_samples(signal, signal.samples * np.exp(2j * math.pi * delta_hz * t / signal.sample_rate))
+    phasor = _cfo_phasor(delta_hz, len(signal.samples), signal.sample_rate)
+    return _with_samples(signal, signal.samples * phasor)
 
 
 def matched_filter_bank(signal: BasebandSignal, plan: FrequencyPlan) -> np.ndarray:
@@ -200,17 +263,23 @@ def matched_filter_bank(signal: BasebandSignal, plan: FrequencyPlan) -> np.ndarr
     return _conj_tones(plan.offsets, len(signal.samples), signal.sample_rate) @ signal.samples
 
 
+@_TABLES.memoize
+def _slice_terms(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """conj(a) and |a|^2 * S for every pattern a: the fixed parts of the ML metric."""
+    table = constellation(m)
+    return np.conj(table), np.abs(table) ** 2 * count
+
+
 def _slice_metrics(c: np.ndarray, m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-offset ML metric after slicing c_k / S (ties to the smaller pattern), plus the patterns."""
-    table = constellation(m)
-    patterns = np.argmin(np.abs(table - (c / count)[:, None]) ** 2, axis=1)
-    a = table[patterns]
-    return -2.0 * (np.conj(a) * c).real + np.abs(a) ** 2 * count, patterns
+    patterns = (np.abs(constellation(m) - (c / count)[:, None]) ** 2).argmin(axis=1)
+    conj_a, energy = _slice_terms(m, count)
+    return -2.0 * (conj_a[patterns] * c).real + energy[patterns], patterns
 
 
 def _pick(metrics: np.ndarray) -> tuple[int, float]:
     """Smallest-metric index (ties to the smaller index) and the runner-up gap."""
-    order = np.argsort(metrics, kind="stable")
+    order = metrics.argsort(kind="stable")
     best = int(order[0])
     margin = float(metrics[order[1]] - metrics[order[0]]) if len(metrics) > 1 else 0.0
     return best, margin
@@ -283,7 +352,7 @@ def brute_force_oracle(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> D
     """
     count = len(signal.samples)
     table = constellation(m)
-    tones = np.conj(_conj_tones(plan.offsets, count, signal.sample_rate))
+    tones = _tones(plan.offsets, count, signal.sample_rate)
     step = max(1, _ORACLE_BLOCK_SAMPLES // (m * count))
     totals = np.concatenate([  # (n, m) squared distances, a block of offsets at a time
         (np.abs(signal.samples - table[:, None] * tones[lo : lo + step, None, :]) ** 2).sum(axis=2)

@@ -24,7 +24,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from ._version import __version__
-from .codec import DataBlock, _bits_to_int, map_index
+from .codec import DataBlock, _bits_to_int
 from .ofdm import OfdmConfig, fom_to_ofdm_params, frame_awgn, modulate_frame, demodulate_frame
 from .phy import (
     ChannelSpec,
@@ -310,60 +310,54 @@ def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> t
     return lo, hi
 
 
-def _random_block(rng: np.random.Generator, index_len: int, symbol_len: int) -> DataBlock:
-    bits = rng.integers(0, 2, size=index_len + symbol_len)
-    return DataBlock(index_bits=tuple(int(b) for b in bits[:index_len]), symbol_bits=tuple(int(b) for b in bits[index_len:]))
-
-
-def _impair(scenario: Scenario, signal):
-    if scenario.channel.phase_rotation:
-        signal = apply_phase_rotation(signal, scenario.channel.phase_rotation)
-    if scenario.channel.carrier_freq_error:
-        signal = apply_carrier_freq_error(signal, scenario.channel.carrier_freq_error)
-    return signal
-
-
-def _trial(scenario: Scenario, point, es_n0_db: float, rng: np.random.Generator):
-    """One block through the link: (sent block, received signal, detection)."""
-    if scenario.mode == "ofdm":
-        block = _random_block(rng, (point.n_subcarriers - 1).bit_length(), (point.m - 1).bit_length())
-        frame = frame_awgn(_impair(scenario, modulate_frame(block, point)), es_n0_db, rng)
-        return block, frame, demodulate_frame(frame, point)
-    config, plan = point
-    block = _random_block(rng, config.index_bit_count, config.symbol_bit_count)
-    signal = awgn(_impair(scenario, synthesize_block(block, plan, config)), es_n0_db, rng)
-    if scenario.detector == "joint-ml":
-        result = detect_joint_ml(signal, plan, config.m)
-    elif scenario.detector == "two-stage":
-        result = detect_two_stage(signal, plan, config.m, scenario.zero_pad_factor)
-    else:
-        result = brute_force_oracle(signal, plan, config.m)
-    return block, signal, result
-
-
-def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: int, dump=None) -> tuple[np.ndarray, float]:
+def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: int, dump=None) -> tuple[list[int], float]:
     """Error counts (index, symbol, block, bit) and the margin sum over trials start..stop-1.
 
     The span is one whole chunk, or the last one; its trials draw in order
-    from the chunk's stream.
+    from the chunk's stream, each its payload bits and then its noise.
     """
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, start // _CHUNK]))
-    counts = np.zeros(4, dtype=np.int64)
+    theta, delta_hz = scenario.channel.phase_rotation, scenario.channel.carrier_freq_error
+    is_ofdm = scenario.mode == "ofdm"
+    if is_ofdm:
+        index_len, symbol_len = (point.n_subcarriers - 1).bit_length(), (point.m - 1).bit_length()
+    else:
+        config, plan = point
+        index_len, symbol_len = config.index_bit_count, config.symbol_bit_count
+    index_errors = symbol_errors = block_errors = bit_errors = 0
     margin_sum = 0.0
     for trial in range(start, stop):
-        block, received, result = _trial(scenario, point, es_n0_db, rng)
+        bits = rng.integers(0, 2, size=index_len + symbol_len).tolist()
+        block = DataBlock(index_bits=tuple(bits[:index_len]), symbol_bits=tuple(bits[index_len:]))
+        signal = modulate_frame(block, point) if is_ofdm else synthesize_block(block, plan, config)
+        if theta:
+            signal = apply_phase_rotation(signal, theta)
+        if delta_hz:
+            signal = apply_carrier_freq_error(signal, delta_hz)
+        if is_ofdm:
+            received = frame_awgn(signal, es_n0_db, rng)
+            result = demodulate_frame(received, point)
+        else:
+            received = awgn(signal, es_n0_db, rng)
+            if scenario.detector == "joint-ml":
+                result = detect_joint_ml(received, plan, config.m)
+            elif scenario.detector == "two-stage":
+                result = detect_two_stage(received, plan, config.m, scenario.zero_pad_factor)
+            else:
+                result = brute_force_oracle(received, plan, config.m)
         if dump is not None and trial < _DUMP_BLOCKS:
             _dump_block(dump, trial, block, received)
-        k_true = map_index(block.index_bits)
-        idx_err = result.k_hat != k_true
+        # Counted on ints: these bits were drawn as 0/1, so they need no map_index check.
+        k_true = 1 + _bits_to_int(block.index_bits)
         sym_true, sym_hat = _bits_to_int(block.symbol_bits), _bits_to_int(result.symbol_bits_hat)
+        idx_err = result.k_hat != k_true
         sym_err = sym_hat != sym_true
-        counts[0] += idx_err
-        counts[1] += sym_err
-        counts[2] += idx_err or sym_err
-        counts[3] += ((k_true - 1) ^ (result.k_hat - 1)).bit_count() + (sym_true ^ sym_hat).bit_count()
+        index_errors += idx_err
+        symbol_errors += sym_err
+        block_errors += idx_err or sym_err
+        bit_errors += ((k_true - 1) ^ (result.k_hat - 1)).bit_count() + (sym_true ^ sym_hat).bit_count()
         margin_sum += result.runner_up_margin
-    return counts, margin_sum
+    return [index_errors, symbol_errors, block_errors, bit_errors], margin_sum
 
 
 def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] | None = None) -> list[MetricsRow]:

@@ -15,6 +15,7 @@ index-modulation bandwidth expansion is ``delta_b = (n - 1) * delta_f``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -94,11 +95,12 @@ class SystemConfig:
         """Index-modulation bandwidth expansion (n - 1) * delta_f."""
         return (self.n - 1) * self.delta_f_hz
 
-    @property
+    # Cached: the record is frozen, and synthesis reads both on every trial.
+    @functools.cached_property
     def sample_rate(self) -> float:
         return self.oversample * (self.bandwidth_hz + self.delta_b_hz)
 
-    @property
+    @functools.cached_property
     def samples_per_symbol(self) -> int:
         # Via the interval length so it agrees exactly with signal checks.
         return int(round(self.sample_rate * (1.0 / self.symbol_rate)))

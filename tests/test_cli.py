@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import tempfile
@@ -141,6 +142,48 @@ class TestSimulate:
         config = scenario_file(tmp_path, mode="ofdm", trials=32)
         assert main(["simulate", "--config", str(config)]) == EXIT_OK
         assert "ofdm,joint-ml" in capsys.readouterr().out
+
+
+class TestSharedParser:
+    """main() parses every call with one parser built once per process."""
+
+    def test_options_do_not_reach_the_next_call(self, tmp_path):
+        config = scenario_file(tmp_path, trials=300, channel={"es_n0_db": 0.0})
+        out = [tmp_path / f"{i}.csv" for i in range(3)]
+        dump = tmp_path / "dump.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out[0])]) == EXIT_OK
+        argv = ["simulate", "--config", str(config), "--out", str(out[1]), "--seed", "7", "--dump-signals", str(dump)]
+        assert main(argv) == EXIT_OK
+        dump.unlink()
+        assert main(["simulate", "--config", str(config), "--out", str(out[2])]) == EXIT_OK
+        assert out[2].read_bytes() == out[0].read_bytes() != out[1].read_bytes()
+        assert not dump.exists()
+
+    def test_validate_after_a_failing_simulate_exits_on_its_own_input(self, tmp_path, capsys):
+        good = scenario_file(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scenario_data(detector="magic")))
+        assert main(["simulate", "--config", str(bad)]) == EXIT_INVALID
+        assert main(["validate", "--config", str(good)]) == EXIT_OK
+        with pytest.raises(SystemExit):
+            main(["simulate", "--workers", "2"])
+        assert main(["validate", "--config", str(good)]) == EXIT_OK
+        assert main(["validate", "--config", str(bad)]) == EXIT_INVALID
+        assert "detector" in capsys.readouterr().out
+
+    def test_calls_leave_no_cyclic_garbage(self, tmp_path, capsys):
+        config = scenario_file(tmp_path, trials=4)
+        out = tmp_path / "out.csv"
+        assert main(["validate", "--config", str(config)]) == EXIT_OK
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                assert main(["validate", "--config", str(config)]) == EXIT_OK
+                assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_OK
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestValidate:

@@ -90,6 +90,12 @@ class TestModulation:
         assert np.array_equal(frame.time_samples[:3], payload[-3:])
         assert np.array_equal(frame.time_samples[:3], frame.time_samples[-3:])
 
+    @pytest.mark.parametrize("index_bits, symbol_bits", [((0, 1, 0), (1, 2)), ((0, 1, 0), (-1, 0)), ((0, 2, 0), (1, 0))])
+    def test_rejects_bits_other_than_zero_and_one(self, index_bits, symbol_bits):
+        cfg = OfdmConfig(n_subcarriers=8, spacing_hz=15e3, m=4, cp_len=0, index_mode="single-active")
+        with pytest.raises(ValueError, match="0 or 1"):
+            modulate_frame(DataBlock(index_bits, symbol_bits), cfg)
+
     def test_single_silent_zeroes_exactly_one_bin(self):
         cfg = OfdmConfig(n_subcarriers=8, spacing_hz=15e3, m=4, cp_len=0, index_mode="single-silent")
         for block, k, pattern in all_blocks(8, 4):

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fomlink import phy
 from fomlink.codec import DataBlock, constellation, demap_index, demap_symbol, map_symbol
 from fomlink.phy import (
     BasebandSignal,
     ChannelSpec,
     DetectionResult,
+    _TableCache,
     _conj_tones,
     _pick,
     _slice_metrics,
@@ -27,7 +29,8 @@ from fomlink.phy import (
     matched_filter_bank,
     synthesize_block,
 )
-from fomlink.system import SystemConfig, build_frequency_plan
+from fomlink.scenario import run_monte_carlo, scenario_from_dict
+from fomlink.system import MAX_FILTER_BANK_SAMPLES, MAX_SNAP_TABLE_ENTRIES, SystemConfig, build_frequency_plan
 
 
 def link_config(n=8, m=16, df_t=1.0, oversample=8):
@@ -99,6 +102,13 @@ class TestSynthesis:
             synthesize_block(DataBlock(index_bits=(0,), symbol_bits=(0,) * 4), plan, config)
         with pytest.raises(ValueError, match="symbol bits"):
             synthesize_block(DataBlock(index_bits=(0, 0, 0), symbol_bits=(0,)), plan, config)
+
+    @pytest.mark.parametrize("index_bits, symbol_bits", [((0, 1, 0), (1, 2)), ((0, 1, 0), (-1, 0)), ((0, 2, 0), (1, 0))])
+    def test_rejects_bits_other_than_zero_and_one(self, index_bits, symbol_bits):
+        # (1, 2) would read as pattern 2, the same waveform as (1, 0).
+        config = link_config(n=8, m=4)
+        with pytest.raises(ValueError, match="0 or 1"):
+            synthesize_block(DataBlock(index_bits, symbol_bits), build_frequency_plan(config), config)
 
     def test_signal_length_bookkeeping(self):
         with pytest.raises(ValueError, match="expected"):
@@ -497,3 +507,45 @@ class TestKernelsMatchPerOffsetLoops:
             tracemalloc.stop()
         assert peak < 32 * 2**20
         assert got == reference_oracle(signal, plan, 256)
+
+
+class TestTableCache:
+    def test_oldest_tables_go_first_and_oversized_ones_are_not_kept(self):
+        cache = _TableCache(max_bytes=3 * 800)
+        table = cache.memoize(lambda nbytes, name: np.zeros(nbytes // 8))
+        first = table(800, "a")
+        table(800, "b")
+        table(800, "c")
+        assert table(800, "a") is first
+        table(800, "d")
+        assert cache.nbytes == 3 * 800
+        assert table(800, "a") is not first
+        assert table(4000, "big").nbytes == 4000
+        assert cache.nbytes == 0
+
+    def test_bound_holds_every_table_of_one_point_at_the_size_caps(self):
+        # Tones and matched filters at n * S = MAX_FILTER_BANK_SAMPLES, the CFO
+        # phasor at n = 1 (S = MAX_FILTER_BANK_SAMPLES), two-stage's int64 snap order.
+        complex_table = 16 * MAX_FILTER_BANK_SAMPLES
+        assert 3 * complex_table + 8 * MAX_SNAP_TABLE_ENTRIES <= phy._TABLES.max_bytes
+
+    def test_bytes_held_stay_under_the_bound_across_a_long_df_t_sweep(self, monkeypatch):
+        # Every df_t point builds its own tone, matched-filter, CFO and snap
+        # tables (about 40-90 KiB here); 40 points would hold about 2.5 MiB.
+        bound = 256 * 1024
+        monkeypatch.setattr(phy._TABLES, "max_bytes", bound)
+        data = {
+            "system": link_config(n=8, m=4).to_dict(),
+            "channel": {"es_n0_db": 10.0, "phase_rotation": 0.1, "carrier_freq_error": 0.01},
+            "detector": "two-stage",
+            "trials": 2,
+            "seed": 5,
+        }
+        df_ts = [0.1 * k for k in range(1, 41)]
+        rows = []
+        for df_t in df_ts:
+            rows += run_monte_carlo(scenario_from_dict({**data, "sweep": {"df_t": [df_t]}}))
+            held = list(phy._TABLES._entries.values())
+            assert phy._TABLES.nbytes == sum(phy._nbytes(value) for value in held) <= bound
+        monkeypatch.undo()
+        assert rows == run_monte_carlo(scenario_from_dict({**data, "sweep": {"df_t": df_ts}}))

@@ -255,6 +255,40 @@ class TestMonteCarlo:
         assert row.block_error_rate <= row.index_error_rate + row.symbol_error_rate
         assert 0.0 < row.bit_error_rate < row.block_error_rate
 
+    # Index, symbol, block and bit error counts over 3000 impaired trials
+    # (phase 0.1 rad, CFO 0.01 R), as recorded before the per-trial tables:
+    # a change to any draw or decision moves them.  Integers only, so BLAS
+    # rounding of the margins cannot make this brittle.
+    @pytest.mark.parametrize(
+        "detector, ofdm, counts",
+        [
+            ("joint-ml", None, [907, 757, 991, 2530]),
+            ("two-stage", None, [1732, 1317, 1787, 4708]),
+            ("oracle", None, [907, 757, 991, 2530]),
+            ("joint-ml", "single-active", [776, 1581, 1671, 3919]),
+            ("joint-ml", "single-silent", [929, 105, 965, 2057]),
+        ],
+    )
+    def test_impaired_error_counts_are_pinned(self, detector, ofdm, counts):
+        trials = 3000
+        data = scenario_dict(
+            detector=detector,
+            trials=trials,
+            seed=2024,
+            channel={"es_n0_db": 5.0, "phase_rotation": 0.1, "carrier_freq_error": 0.01},
+        )
+        if ofdm is not None:
+            data["system"].update(n=16, m=16)
+            data.update(
+                mode="ofdm",
+                channel={**data["channel"], "es_n0_db": 8.0},
+                ofdm={"n_subcarriers": 16, "spacing_hz": 1.0, "m": 16, "cp_len": 4, "index_mode": ofdm},
+            )
+        row = run_monte_carlo(scenario_from_dict(data))[0]
+        bits = (row.n - 1).bit_length() + (row.m - 1).bit_length()
+        rates = (row.index_error_rate, row.symbol_error_rate, row.block_error_rate, row.bit_error_rate * bits)
+        assert [round(rate * trials) for rate in rates] == counts
+
     def test_deterministic_given_seed(self):
         s = scenario_from_dict(scenario_dict(trials=2500, sweep={"es_n0_db": [5.0, 10.0]}))
         first = render_csv(s, run_monte_carlo(s))
