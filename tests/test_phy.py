@@ -531,7 +531,7 @@ class TestTableCache:
 
     def test_bytes_held_stay_under_the_bound_across_a_long_df_t_sweep(self, monkeypatch):
         # Every df_t point builds its own tone, matched-filter, CFO and snap
-        # tables (about 40-90 KiB here); 40 points would hold about 2.5 MiB.
+        # tables (6 to 91 KiB here); unbounded, 40 points would hold 1.9 MiB.
         bound = 256 * 1024
         monkeypatch.setattr(phy._TABLES, "max_bytes", bound)
         data = {
