@@ -167,12 +167,15 @@ def map_symbol(symbol_bits: Sequence[int], m: int) -> complex:
     return complex(constellation(m)[_bits_to_int(bits)])
 
 
+def _demap_patterns(points, m: int) -> np.ndarray:
+    """Nearest constellation pattern of every point (any shape); ties go to the smaller one."""
+    distances = np.abs(constellation(m) - np.asarray(points)[..., None]) ** 2
+    return distances.argmin(axis=-1)  # first minimum == smallest pattern
+
+
 def demap_symbol(point: complex, m: int) -> tuple[int, ...]:
     """Nearest constellation pattern; exact distance ties go to the smaller one."""
-    table = constellation(m)
-    distances = np.abs(table - point) ** 2
-    pattern = int(distances.argmin())  # first minimum == smallest pattern
-    return _int_to_bits(pattern, (m - 1).bit_length())
+    return _int_to_bits(int(_demap_patterns(point, m)), (m - 1).bit_length())
 
 
 def export_constellation_csv(m: int, out: IO[str]) -> None:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import SUPPORTED_M, DataBlock, _bit_tuple, _bits_to_int, _is_power_of_two, constellation, demap_symbol, map_index
-from .phy import DetectionResult, awgn
+from .codec import SUPPORTED_M, DataBlock, _bit_tuple, _bits_to_int, _demap_patterns, _is_power_of_two, constellation, map_index
+from .phy import DetectionResult, _at, _detection, _pick, awgn
 from .system import SystemConfig, _is_real
 
 __all__ = [
@@ -125,36 +125,38 @@ def modulate_frame(block: DataBlock, cfg: OfdmConfig) -> OfdmFrame:
     return OfdmFrame(time_samples=samples, sample_rate=cfg.sample_rate)
 
 
+def _demodulate_rows(rows: np.ndarray, cfg: OfdmConfig):
+    """Batch kernel of `demodulate_frame` over (T, frame_len) rows: (best, pattern, metric, margin), best 0-based."""
+    bins = np.fft.fft(rows[:, cfg.cp_len :], axis=-1, norm="ortho")
+    energies = np.abs(bins) ** 2
+    ranking = -energies if cfg.index_mode == "single-active" else energies
+    best, margin = _pick(ranking)
+    if cfg.index_mode == "single-active":
+        estimate = _at(bins, best)
+    else:
+        # The active bins of each frame in bin order, so the sums add as a 1-D sum over them does.
+        trials = np.arange(len(rows))[:, None]
+        others = np.arange(cfg.n_subcarriers - 1)
+        active = others + (others >= best[:, None])
+        weights = energies[trials, active]
+        total = weights.sum(axis=-1)
+        estimate = np.zeros(len(rows), dtype=np.complex128)
+        np.divide((weights * bins[trials, active]).sum(axis=-1), total, out=estimate, where=total > 0)
+    return best, _demap_patterns(estimate, cfg.m), _at(ranking, best), margin
+
+
 def demodulate_frame(frame: OfdmFrame, cfg: OfdmConfig) -> DetectionResult:
     """Strip the prefix, DFT, decide the index from bin energies, demap.
 
     single-active: k_hat = argmax energy, symbol from that bin.
     single-silent: k_hat = argmin energy, symbol from the energy-weighted
-    mean of the remaining bins.  Energy ties resolve to the smaller index;
-    the margin is the energy gap between the winner and the runner-up.
+    mean of the remaining bins (0 when they hold no energy).  Energy ties
+    resolve to the smaller index; the margin is the energy gap between the
+    winner and the runner-up.
     """
     if len(frame.time_samples) != cfg.frame_len:
         raise ValueError(f"frame has {len(frame.time_samples)} samples, config expects {cfg.frame_len}")
-    payload = frame.time_samples[cfg.cp_len :]
-    bins = np.fft.fft(payload, norm="ortho")
-    energies = np.abs(bins) ** 2
-    if cfg.index_mode == "single-active":
-        ranking = -energies
-        k_hat = int(ranking.argmin()) + 1
-        estimate = bins[k_hat - 1]
-    else:
-        ranking = energies
-        k_hat = int(ranking.argmin()) + 1
-        active = np.arange(cfg.n_subcarriers) != (k_hat - 1)
-        weights = energies[active]
-        total = weights.sum()
-        estimate = (weights * bins[active]).sum() / total if total > 0 else 0.0 + 0.0j
-    order = ranking.argsort(kind="stable")
-    margin = float(ranking[order[1]] - ranking[order[0]])
-    bits = demap_symbol(complex(estimate), cfg.m)
-    return DetectionResult(
-        k_hat=k_hat, symbol_bits_hat=bits, metric=float(ranking[k_hat - 1]), runner_up_margin=margin
-    )
+    return _detection(_demodulate_rows(frame.time_samples[None], cfg), cfg.m)
 
 
 def frame_awgn(frame: OfdmFrame, es_n0_db: float, rng_seed: int | np.random.Generator) -> OfdmFrame:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import DataBlock, _bit_tuple, _bits_to_int, _int_to_bits, constellation, demap_symbol, map_index
+from .codec import DataBlock, _bit_tuple, _bits_to_int, _demap_patterns, _int_to_bits, constellation, map_index
 from .system import SystemConfig, FrequencyPlan, MIN_SAMPLES_PER_SYMBOL
 
 __all__ = [
@@ -53,8 +53,10 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-# Oracle candidates per block of offsets (512 KiB temporaries; larger blocks measured slower).
-_ORACLE_BLOCK_SAMPLES = 1 << 15
+# The most complex samples any batch temporary holds (64 KiB): a block of
+# received rows, of zero-padded FFT rows, of oracle candidates or of slicing
+# distances.  A single row that needs more is taken alone.
+_BLOCK_SAMPLES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -253,6 +255,22 @@ def apply_carrier_freq_error(signal: BasebandSignal, delta_hz: float) -> Baseban
     return _with_samples(signal, signal.samples * phasor)
 
 
+def _blockwise(rows: np.ndarray, per_row: int, kernel):
+    """``kernel(part)`` over blocks of rows, joined: each block holds at most
+    _BLOCK_SAMPLES // per_row rows (at least one), where per_row is the
+    kernel's largest temporary per row."""
+    step = max(1, _BLOCK_SAMPLES // per_row)
+    if len(rows) <= step:
+        return kernel(rows)
+    parts = [kernel(rows[lo : lo + step]) for lo in range(0, len(rows), step)]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _correlate(rows: np.ndarray, plan: FrequencyPlan, sample_rate: float) -> np.ndarray:
+    """c_k of every row of an (T, S) block against every plan tone: (T, n)."""
+    return rows @ _conj_tones(plan.offsets, rows.shape[-1], sample_rate).T
+
+
 def matched_filter_bank(signal: BasebandSignal, plan: FrequencyPlan) -> np.ndarray:
     """Correlations c_k of the signal against every plan tone (length n).
 
@@ -260,7 +278,7 @@ def matched_filter_bank(signal: BasebandSignal, plan: FrequencyPlan) -> np.ndarr
     number of cycles per interval, |c_j| equals the sample count and every
     other output is zero up to rounding.
     """
-    return _conj_tones(plan.offsets, len(signal.samples), signal.sample_rate) @ signal.samples
+    return _correlate(signal.samples[None], plan, signal.sample_rate)[0]
 
 
 @_TABLES.memoize
@@ -271,18 +289,96 @@ def _slice_terms(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _slice_metrics(c: np.ndarray, m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-offset ML metric after slicing c_k / S (ties to the smaller pattern), plus the patterns."""
-    patterns = (np.abs(constellation(m) - (c / count)[:, None]) ** 2).argmin(axis=1)
+    """ML metric after slicing each c_k / S (ties to the smaller pattern), plus the patterns; any shape."""
+    patterns = _demap_patterns(c / count, m)
     conj_a, energy = _slice_terms(m, count)
     return -2.0 * (conj_a[patterns] * c).real + energy[patterns], patterns
 
 
-def _pick(metrics: np.ndarray) -> tuple[int, float]:
-    """Smallest-metric index (ties to the smaller index) and the runner-up gap."""
-    order = metrics.argsort(kind="stable")
-    best = int(order[0])
-    margin = float(metrics[order[1]] - metrics[order[0]]) if len(metrics) > 1 else 0.0
-    return best, margin
+def _pick(metrics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest-metric index along the last axis (ties to the smaller index) and the runner-up gap (0 when n == 1)."""
+    order = metrics.argsort(axis=-1, kind="stable")
+    if metrics.shape[-1] == 1:
+        return order[..., 0], np.zeros(metrics.shape[:-1])[()]
+    low = np.take_along_axis(metrics, order[..., :2], axis=-1)
+    return order[..., 0], low[..., 1] - low[..., 0]
+
+
+def _at(values: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """values[t, best[t]] for every row t."""
+    return values[np.arange(len(best)), best]
+
+
+def _detection(kernel_result, m: int) -> DetectionResult:
+    """The one-row output (best, pattern, metric, margin) of a batch kernel as a record."""
+    best, pattern, metric, margin = kernel_result
+    bits = _int_to_bits(int(pattern[0]), (m - 1).bit_length())
+    return DetectionResult(k_hat=int(best[0]) + 1, symbol_bits_hat=bits, metric=float(metric[0]), runner_up_margin=float(margin[0]))
+
+
+def _joint_ml_rows(rows: np.ndarray, plan: FrequencyPlan, m: int, sample_rate: float):
+    """Batch kernel of `detect_joint_ml`: (best, pattern, metric, margin) per row, best 0-based."""
+
+    def kernel(part):
+        metrics, patterns = _slice_metrics(_correlate(part, plan, sample_rate), m, rows.shape[-1])
+        best, margin = _pick(metrics)
+        return best, _at(patterns, best), _at(metrics, best), margin
+
+    return _blockwise(rows, plan.tx_count * m, kernel)
+
+
+def _noncoherent_rows(rows: np.ndarray, plan: FrequencyPlan, m: int, sample_rate: float):
+    """Batch kernel of `detect_noncoherent`."""
+
+    def kernel(part):
+        c = _correlate(part, plan, sample_rate)
+        ranking = -np.abs(c)
+        best, margin = _pick(ranking)
+        return best, _demap_patterns(_at(c, best) / rows.shape[-1], m), _at(ranking, best), margin
+
+    return _blockwise(rows, max(plan.tx_count, m), kernel)
+
+
+def _two_stage_rows(rows: np.ndarray, plan: FrequencyPlan, m: int, sample_rate: float, zero_pad_factor: int = 16):
+    """Batch kernel of `detect_two_stage`."""
+    count = rows.shape[-1]
+    padded = zero_pad_factor * count
+    order, starts, regions = _snap_regions(plan.offsets, padded, sample_rate)
+
+    def kernel(part):
+        spectrum = np.abs(np.fft.fft(part, n=padded, axis=-1))
+        # Peak magnitude within each offset's snap region; empty regions rank last.
+        peaks = np.zeros((len(part), plan.tx_count))
+        peaks[:, regions] = np.maximum.reduceat(spectrum[:, order], starts, axis=-1)
+        best, margin = _pick(-peaks)
+        c = _at(_correlate(part, plan, sample_rate), best)
+        return best, _demap_patterns(c / count, m), -_at(peaks, best), margin
+
+    return _blockwise(rows, max(padded, plan.tx_count, m), kernel)
+
+
+def _oracle_rows(rows: np.ndarray, plan: FrequencyPlan, m: int, sample_rate: float):
+    """Batch kernel of `brute_force_oracle`: distances over blocks of trials x candidates."""
+    count = rows.shape[-1]
+    n = plan.tx_count
+    table = constellation(m)
+    tones = _tones(plan.offsets, count, sample_rate)
+    step = max(1, _BLOCK_SAMPLES // (m * count))  # offsets per candidate block
+
+    def kernel(part):
+        per_offset = np.empty((len(part), n))
+        patterns = np.empty((len(part), n), dtype=np.intp)
+        for lo in range(0, n, step):
+            candidates = table[:, None] * tones[lo : lo + step, None, :]  # (offsets, m, S)
+            group = max(1, _BLOCK_SAMPLES // candidates.size)  # trials per block of distances
+            for t in range(0, len(part), group):
+                totals = (np.abs(part[t : t + group, None, None, :] - candidates) ** 2).sum(axis=-1)
+                per_offset[t : t + group, lo : lo + step] = totals.min(axis=-1)
+                patterns[t : t + group, lo : lo + step] = totals.argmin(axis=-1)
+        best, margin = _pick(per_offset)
+        return best, _at(patterns, best), _at(per_offset, best), margin
+
+    return _blockwise(rows, n, kernel)
 
 
 def detect_joint_ml(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> DetectionResult:
@@ -292,27 +388,16 @@ def detect_joint_ml(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> Dete
     compete on -2*Re(conj(a)*c_k) + |a|^2*S.  Ties prefer the smaller index
     and the smaller bit pattern.
     """
-    count = len(signal.samples)
-    c = matched_filter_bank(signal, plan)
-    metrics, patterns = _slice_metrics(c, m, count)
-    best, margin = _pick(metrics)
-    bits = _int_to_bits(int(patterns[best]), (m - 1).bit_length())
-    return DetectionResult(k_hat=best + 1, symbol_bits_hat=bits, metric=float(metrics[best]), runner_up_margin=margin)
+    return _detection(_joint_ml_rows(signal.samples[None], plan, m, signal.sample_rate), m)
 
 
 def detect_noncoherent(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> DetectionResult:
-    """Index from argmax |c_k|, symbol sliced coherently from the winner.
+    """Index from argmax |c_k| (ties to the smaller index), symbol sliced coherently from the winner.
 
     Insensitive to a global phase rotation by construction, but suboptimal
     for constellations with more than one amplitude ring.
     """
-    count = len(signal.samples)
-    c = matched_filter_bank(signal, plan)
-    best, margin = _pick(-np.abs(c))
-    bits = demap_symbol(c[best] / count, m)
-    return DetectionResult(
-        k_hat=best + 1, symbol_bits_hat=bits, metric=float(-np.abs(c[best])), runner_up_margin=margin
-    )
+    return _detection(_noncoherent_rows(signal.samples[None], plan, m, signal.sample_rate), m)
 
 
 def detect_two_stage(
@@ -330,17 +415,7 @@ def detect_two_stage(
     """
     if zero_pad_factor < 1:
         raise ValueError(f"zero_pad_factor must be >= 1, got {zero_pad_factor!r}")
-    count = len(signal.samples)
-    padded = zero_pad_factor * count
-    spectrum = np.abs(np.fft.fft(signal.samples, n=padded))
-    order, starts, regions = _snap_regions(plan.offsets, padded, signal.sample_rate)
-    # Peak magnitude within each offset's snap region; empty regions rank last.
-    peaks = np.zeros(plan.tx_count)
-    peaks[regions] = np.maximum.reduceat(spectrum[order], starts)
-    best, margin = _pick(-peaks)
-    c = matched_filter_bank(signal, plan)
-    bits = demap_symbol(c[best] / count, m)
-    return DetectionResult(k_hat=best + 1, symbol_bits_hat=bits, metric=float(-peaks[best]), runner_up_margin=margin)
+    return _detection(_two_stage_rows(signal.samples[None], plan, m, signal.sample_rate, zero_pad_factor), m)
 
 
 def brute_force_oracle(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> DetectionResult:
@@ -350,17 +425,4 @@ def brute_force_oracle(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> D
     `detect_joint_ml` (smaller index, then smaller bit pattern).  Slow on
     purpose; it exists to check the fast detectors.
     """
-    count = len(signal.samples)
-    table = constellation(m)
-    tones = _tones(plan.offsets, count, signal.sample_rate)
-    step = max(1, _ORACLE_BLOCK_SAMPLES // (m * count))
-    totals = np.concatenate([  # (n, m) squared distances, a block of offsets at a time
-        (np.abs(signal.samples - table[:, None] * tones[lo : lo + step, None, :]) ** 2).sum(axis=2)
-        for lo in range(0, plan.tx_count, step)
-    ])
-    per_offset = totals.min(axis=1)
-    best, margin = _pick(per_offset)
-    bits = _int_to_bits(int(totals[best].argmin()), (m - 1).bit_length())
-    return DetectionResult(
-        k_hat=best + 1, symbol_bits_hat=bits, metric=float(per_offset[best]), runner_up_margin=margin
-    )
+    return _detection(_oracle_rows(signal.samples[None], plan, m, signal.sample_rate), m)

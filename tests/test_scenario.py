@@ -7,11 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from fomlink.phy import BasebandSignal, detect_joint_ml
+import fomlink.scenario
+import fomlink.system
+from fomlink.cli import main
+from fomlink.phy import BasebandSignal, ChannelSpec, detect_joint_ml
 from fomlink.scenario import (
     METRICS_HEADER,
     Scenario,
     ScenarioError,
+    Sweep,
     run_monte_carlo,
     scenario_from_dict,
     scenario_from_json,
@@ -19,7 +23,7 @@ from fomlink.scenario import (
     wilson_interval,
     write_metrics_csv,
 )
-from fomlink.system import build_frequency_plan
+from fomlink.system import SystemConfig, build_frequency_plan, validate_config
 
 
 def scenario_dict(**overrides):
@@ -343,6 +347,32 @@ class TestMonteCarlo:
             lo, hi = wilson_interval(round(row.symbol_error_rate * trials), trials)
             assert lo <= 1 - (1 - p) ** 2 <= hi, (row.es_n0_db, row.symbol_error_rate, 1 - (1 - p) ** 2)
 
+    def test_noncoherent_index_error_is_noncoherent_fsk_under_rotation(self):
+        # At delta_f * T = 1 the tones are orthogonal and QPSK has one
+        # amplitude, so argmax |c_k| errs exactly as noncoherent orthogonal
+        # 8-FSK (Proakis, Digital Communications, 4.5), whatever the phase:
+        # P = sum_k (-1)^(k+1) C(n-1, k) / (k+1) * exp(-k/(k+1) * Es/N0).
+        trials, n = 10_000, 8
+        rotated = {"es_n0_db": 6.0, "phase_rotation": math.pi / 4}
+        s = scenario_from_dict(
+            scenario_dict(detector="noncoherent", trials=trials, channel=rotated, sweep={"es_n0_db": [2.0, 4.0, 6.0]})
+        )
+        for row in run_monte_carlo(s):
+            es_n0 = 10 ** (row.es_n0_db / 10)
+            want = sum(
+                (-1) ** (k + 1) * math.comb(n - 1, k) / (k + 1) * math.exp(-k / (k + 1) * es_n0) for k in range(1, n)
+            )
+            lo, hi = wilson_interval(round(row.index_error_rate * trials), trials)
+            assert lo <= want <= hi, (row.es_n0_db, row.index_error_rate, want)
+        # The coherent rule assumes the phase is known: the same rotation costs it index errors.
+        still, turned = (
+            run_monte_carlo(scenario_from_dict(scenario_dict(trials=trials, channel=channel)))[0].index_error_rate
+            for channel in ({"es_n0_db": 6.0}, rotated)
+        )
+        _, hi_still = wilson_interval(round(still * trials), trials)
+        lo_turned, _ = wilson_interval(round(turned * trials), trials)
+        assert hi_still < lo_turned
+
     def test_ofdm_rows(self):
         s = scenario_from_dict(scenario_dict(mode="ofdm", trials=300, channel={"es_n0_db": 15.0}))
         row = run_monte_carlo(s)[0]
@@ -354,6 +384,53 @@ class TestMonteCarlo:
         s = scenario_from_dict(scenario_dict(trials=4))
         with pytest.raises(ValueError):
             run_monte_carlo(s, workers=0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"system": {**scenario_dict()["system"], "n": 3}},
+            {"system": {**scenario_dict()["system"], "oversample": 1}},
+            {"mode": "ofdm", "detector": "two-stage"},
+            {"sweep": {"df_t": [1.0, 1e6]}},
+            {"detector": "two-stage", "zero_pad_factor": 10**6},
+        ],
+    )
+    def test_runner_validates_a_scenario_built_directly(self, overrides):
+        data = scenario_dict(**overrides)
+        with pytest.raises(ScenarioError) as parsed:
+            scenario_from_dict(data)
+        # The same fields, built without scenario_from_dict's checks.
+        direct = Scenario(
+            system=SystemConfig.from_dict(data["system"]),
+            channel=ChannelSpec(es_n0_db=data["channel"]["es_n0_db"]),
+            detector=data["detector"],
+            trials=data["trials"],
+            seed=data["seed"],
+            mode=data.get("mode", "fom"),
+            sweep=Sweep("df_t", tuple(data["sweep"]["df_t"])) if "sweep" in data else None,
+            zero_pad_factor=data.get("zero_pad_factor", 16),
+        )
+        with pytest.raises(ScenarioError) as ran:
+            run_monte_carlo(direct)
+        assert str(ran.value) == str(parsed.value)
+
+    @pytest.mark.parametrize(
+        "overrides, points",
+        [({}, 1), ({"sweep": {"df_t": [0.25, 0.5, 1.0]}}, 3), ({"mode": "ofdm"}, 1), ({"detector": "noncoherent"}, 1)],
+    )
+    def test_simulate_validates_each_point_once(self, overrides, points, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return validate_config(config)
+
+        for module in (fomlink.scenario, fomlink.system):
+            monkeypatch.setattr(module, "validate_config", counted)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario_dict(trials=2, **overrides)))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(calls) == points
 
 
 class TestOutputs:
