@@ -70,11 +70,6 @@ __all__ = [
     "METRICS_HEADER",
 ]
 
-DETECTORS = ("joint-ml", "noncoherent", "two-stage", "oracle")
-MODES = ("fom", "ofdm")
-SWEEP_AXES = ("es_n0_db", "df_t")
-
-_CHUNK = 1024
 # The batch kernel behind each fom detector.
 _KERNELS = {
     "joint-ml": _joint_ml_rows,
@@ -82,6 +77,11 @@ _KERNELS = {
     "two-stage": _two_stage_rows,
     "oracle": _oracle_rows,
 }
+DETECTORS = tuple(_KERNELS)
+MODES = ("fom", "ofdm")
+SWEEP_AXES = ("es_n0_db", "df_t")
+
+_CHUNK = 1024
 _DUMP_BLOCKS = 8
 _SEED_SCHEME = f"chunk c of {_CHUNK} trials draws from default_rng(SeedSequence([seed, c]))"
 
