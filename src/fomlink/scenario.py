@@ -356,7 +356,11 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
         detect = functools.partial(
             _KERNELS[scenario.detector], plan=plan, m=config.m, sample_rate=config.sample_rate, **padding
         )
-    step = min(max(1, _BLOCK_SAMPLES // width), stop - start)
+    # Equal blocks of at most _BLOCK_SAMPLES samples (128 frames of 80 samples
+    # make 43+43+42 rows, not 51+51+26): temporaries of one size reuse each
+    # other's heap memory, which measurably leaves fewer free holes behind.
+    blocks = -(-(stop - start) // max(1, _BLOCK_SAMPLES // width))
+    step = -(-(stop - start) // blocks)
     received_rows = np.empty((step, width), dtype=np.complex128)
     truth = np.empty((2, step), dtype=np.int64)  # index and pattern drawn by each trial
     counts = [0, 0, 0, 0]
