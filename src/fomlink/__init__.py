@@ -12,129 +12,13 @@ The package splits along the natural workflow:
 """
 
 from ._version import __version__
-from .system import (
-    SystemConfig,
-    FrequencyPlan,
-    ValidationReport,
-    build_frequency_plan,
-    validate_config,
-    eta,
-)
-from .analytics import (
-    EfficiencyPoint,
-    GridSpec,
-    energy_efficiency_ratio,
-    symbol_spectral_efficiency,
-    fom_spectral_efficiency,
-    spectral_efficiency_ratio,
-    min_tx_count,
-    hybrid_ratios,
-    grid_sweep,
-    preset_grid,
-    write_efficiency_csv,
-)
-from .codec import (
-    DataBlock,
-    FrameResult,
-    frame_bits,
-    deframe,
-    map_index,
-    demap_index,
-    constellation,
-    map_symbol,
-    demap_symbol,
-    export_constellation_csv,
-)
-from .phy import (
-    BasebandSignal,
-    ChannelSpec,
-    DetectionResult,
-    synthesize_block,
-    awgn,
-    apply_phase_rotation,
-    apply_carrier_freq_error,
-    matched_filter_bank,
-    detect_joint_ml,
-    detect_noncoherent,
-    detect_two_stage,
-    brute_force_oracle,
-)
-from .ofdm import (
-    OfdmConfig,
-    OfdmFrame,
-    fom_to_ofdm_params,
-    modulate_frame,
-    demodulate_frame,
-    frame_awgn,
-)
-from .scenario import (
-    Scenario,
-    Sweep,
-    MetricsRow,
-    ScenarioError,
-    scenario_from_dict,
-    scenario_from_json,
-    run_monte_carlo,
-    run_efficiency_grid,
-    write_metrics_csv,
-    wilson_interval,
-)
+from . import analytics, codec, ofdm, phy, scenario, system
+from .system import *
+from .analytics import *
+from .codec import *
+from .phy import *
+from .ofdm import *
+from .scenario import *
 
-__all__ = [
-    "__version__",
-    "SystemConfig",
-    "FrequencyPlan",
-    "ValidationReport",
-    "build_frequency_plan",
-    "validate_config",
-    "eta",
-    "EfficiencyPoint",
-    "GridSpec",
-    "energy_efficiency_ratio",
-    "symbol_spectral_efficiency",
-    "fom_spectral_efficiency",
-    "spectral_efficiency_ratio",
-    "min_tx_count",
-    "hybrid_ratios",
-    "grid_sweep",
-    "preset_grid",
-    "write_efficiency_csv",
-    "DataBlock",
-    "FrameResult",
-    "frame_bits",
-    "deframe",
-    "map_index",
-    "demap_index",
-    "constellation",
-    "map_symbol",
-    "demap_symbol",
-    "export_constellation_csv",
-    "BasebandSignal",
-    "ChannelSpec",
-    "DetectionResult",
-    "synthesize_block",
-    "awgn",
-    "apply_phase_rotation",
-    "apply_carrier_freq_error",
-    "matched_filter_bank",
-    "detect_joint_ml",
-    "detect_noncoherent",
-    "detect_two_stage",
-    "brute_force_oracle",
-    "OfdmConfig",
-    "OfdmFrame",
-    "fom_to_ofdm_params",
-    "modulate_frame",
-    "demodulate_frame",
-    "frame_awgn",
-    "Scenario",
-    "Sweep",
-    "MetricsRow",
-    "ScenarioError",
-    "scenario_from_dict",
-    "scenario_from_json",
-    "run_monte_carlo",
-    "run_efficiency_grid",
-    "write_metrics_csv",
-    "wilson_interval",
-]
+# Each module's __all__ is its share of the package API.
+__all__ = ["__version__", *system.__all__, *analytics.__all__, *codec.__all__, *phy.__all__, *ofdm.__all__, *scenario.__all__]

@@ -37,7 +37,6 @@ __all__ = [
     "grid_sweep",
     "preset_grid",
     "write_efficiency_csv",
-    "PRESET_NAMES",
 ]
 
 CSV_HEADER = "m,n,eta,gamma_ee,gamma_se,e0,es"

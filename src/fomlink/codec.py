@@ -17,7 +17,6 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "SUPPORTED_M",
     "DataBlock",
     "FrameResult",
     "frame_bits",

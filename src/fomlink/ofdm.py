@@ -32,7 +32,6 @@ __all__ = [
     "modulate_frame",
     "demodulate_frame",
     "frame_awgn",
-    "INDEX_MODES",
 ]
 
 INDEX_MODES = ("single-active", "single-silent")
@@ -97,31 +96,34 @@ def fom_to_ofdm_params(config: SystemConfig, index_mode: str = "single-active", 
     )
 
 
-def _bins_for_block(block: DataBlock, cfg: OfdmConfig) -> np.ndarray:
+def _synthesize_frame(index: int, a: complex, cfg: OfdmConfig, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the frame with QAM point ``a`` and subcarrier ``index`` (0-based) active or silent.
+
+    The payload is the orthonormal IDFT of the bin vector; its tail is
+    copied in front as the cyclic prefix.
+    """
+    if cfg.index_mode == "single-active":
+        bins = np.zeros(cfg.n_subcarriers, dtype=np.complex128)
+        bins[index] = a
+    else:
+        bins = np.full(cfg.n_subcarriers, a, dtype=np.complex128)
+        bins[index] = 0.0
+    payload = np.fft.ifft(bins, norm="ortho")
+    out[cfg.cp_len :] = payload
+    out[: cfg.cp_len] = payload[cfg.n_subcarriers - cfg.cp_len :]
+    return out
+
+
+def modulate_frame(block: DataBlock, cfg: OfdmConfig) -> OfdmFrame:
+    """Orthonormal IDFT of the index-modulated bin vector, tail copied as prefix."""
     n = cfg.n_subcarriers
     if len(block.index_bits) != (n - 1).bit_length():
         raise ValueError(f"block has {len(block.index_bits)} index bits, config with N={n} needs {(n - 1).bit_length()}")
     width = (cfg.m - 1).bit_length()
     if len(block.symbol_bits) != width:
         raise ValueError(f"block has {len(block.symbol_bits)} symbol bits, m={cfg.m} needs {width}")
-    k = map_index(block.index_bits)
     a = constellation(cfg.m)[_bits_to_int(_bit_tuple(block.symbol_bits))]
-    bins = np.zeros(n, dtype=np.complex128)
-    if cfg.index_mode == "single-active":
-        bins[k - 1] = a
-    else:
-        bins[:] = a
-        bins[k - 1] = 0.0
-    return bins
-
-
-def modulate_frame(block: DataBlock, cfg: OfdmConfig) -> OfdmFrame:
-    """Orthonormal IDFT of the index-modulated bin vector, tail copied as prefix."""
-    payload = np.fft.ifft(_bins_for_block(block, cfg), norm="ortho")
-    if cfg.cp_len:
-        samples = np.concatenate([payload[-cfg.cp_len :], payload])
-    else:
-        samples = payload
+    samples = _synthesize_frame(map_index(block.index_bits) - 1, a, cfg, np.empty(cfg.frame_len, dtype=np.complex128))
     return OfdmFrame(time_samples=samples, sample_rate=cfg.sample_rate)
 
 

@@ -211,7 +211,8 @@ def synthesize_block(block: DataBlock, plan: FrequencyPlan, config: SystemConfig
 
 
 # The channel functions below take a BasebandSignal or an OFDM frame (any
-# signal with ``samples`` and ``sample_rate``) and return the same type.
+# signal with ``samples`` and ``sample_rate``) and return the same type;
+# `awgn` also takes a bare sample array.
 def _with_samples(signal, samples: np.ndarray):
     if isinstance(signal, BasebandSignal):
         return BasebandSignal(samples, signal.sample_rate, signal.duration)
@@ -219,29 +220,33 @@ def _with_samples(signal, samples: np.ndarray):
 
 
 def awgn(
-    signal: BasebandSignal,
+    signal: BasebandSignal | np.ndarray,
     es_n0_db: float,
     rng_seed: int | np.random.Generator,
     symbol_energy: float | None = None,
-) -> BasebandSignal:
+) -> BasebandSignal | np.ndarray:
     """Add complex white Gaussian noise at the given symbol SNR.
 
-    symbol_energy is the waveform energy of a unit-average-energy
-    constellation symbol; it defaults to the sample count, which is correct
-    for the rectangular tone.  Per-sample variance is then
-    symbol_energy * 10**(-es_n0_db/10).  An es_n0_db of +inf returns the
-    signal unchanged, bit for bit.  Deterministic for a given seed.
+    ``signal`` is a record with ``samples`` (returned as the same type) or a
+    bare complex array (returned as an array).  symbol_energy is the
+    waveform energy of a unit-average-energy constellation symbol; it
+    defaults to the sample count, which is correct for the rectangular
+    tone.  Per-sample variance is then symbol_energy * 10**(-es_n0_db/10).
+    An es_n0_db of +inf returns the input unchanged, bit for bit.
+    Deterministic for a given seed.
     """
     if es_n0_db == math.inf:
         return signal
-    count = len(signal.samples)
+    samples = signal if isinstance(signal, np.ndarray) else signal.samples
+    count = len(samples)
     if symbol_energy is None:
         symbol_energy = float(count)
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     sigma2 = symbol_energy * 10.0 ** (-es_n0_db / 10.0)
     scale = math.sqrt(sigma2 / 2.0)
     noise = scale * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
-    return _with_samples(signal, signal.samples + noise)
+    noisy = samples + noise
+    return noisy if samples is signal else _with_samples(signal, noisy)
 
 
 def apply_phase_rotation(signal: BasebandSignal, theta: float) -> BasebandSignal:

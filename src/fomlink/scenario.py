@@ -25,20 +25,19 @@ from typing import IO, Iterable
 import numpy as np
 
 from ._version import __version__
-from .codec import DataBlock, _bits_to_int
-from .ofdm import OfdmConfig, _demodulate_rows, fom_to_ofdm_params, frame_awgn, modulate_frame
+from .codec import _bits_to_int, _int_to_bits, constellation
+from .ofdm import OfdmConfig, _demodulate_rows, _synthesize_frame, fom_to_ofdm_params
 from .phy import (
     _BLOCK_SAMPLES,
     ChannelSpec,
+    _cfo_phasor,
     _joint_ml_rows,
     _noncoherent_rows,
     _oracle_rows,
+    _tones,
     _two_stage_rows,
-    apply_carrier_freq_error,
-    apply_phase_rotation,
     awgn,
     detect_joint_ml,  # not called here: linkbench's tracing tests look it up in this namespace
-    synthesize_block,
 )
 from .system import (
     MAX_ORACLE_BLOCK_SAMPLES,
@@ -60,14 +59,10 @@ __all__ = [
     "ScenarioError",
     "scenario_from_dict",
     "scenario_from_json",
-    "validate_scenario_or_config",
     "run_monte_carlo",
     "run_efficiency_grid",
     "write_metrics_csv",
     "wilson_interval",
-    "DETECTORS",
-    "MODES",
-    "METRICS_HEADER",
 ]
 
 # The batch kernel behind each fom detector.
@@ -337,25 +332,33 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
 
     The span is one whole chunk, or the last one; its trials draw in order
     from the chunk's stream, each its payload bits and then its noise.  The
-    transmitter and channel run per trial and write each received block into
-    a row of a (rows, samples) block of at most phy._BLOCK_SAMPLES samples;
-    each block of rows is detected as one batch.
+    transmitter and channel run per trial, on bare samples, and write each
+    received block into a row of a (rows, samples) block of at most
+    phy._BLOCK_SAMPLES samples; each block of rows is detected as one batch.
+    Every row is bit for bit what the public chain (`synthesize_block` or
+    `modulate_frame`, `apply_phase_rotation`, `apply_carrier_freq_error`,
+    `awgn` or `frame_awgn`) computes for the same draws.
     """
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, start // _CHUNK]))
     theta, delta_hz = scenario.channel.phase_rotation, scenario.channel.carrier_freq_error
     is_ofdm = scenario.mode == "ofdm"
     if is_ofdm:
         index_len, symbol_len = (point.n_subcarriers - 1).bit_length(), (point.m - 1).bit_length()
-        width = point.frame_len
+        width, sample_rate, m = point.frame_len, point.sample_rate, point.m
+        symbol_energy = 1.0  # frame_awgn's calibration
         detect = functools.partial(_demodulate_rows, cfg=point)
     else:
         config, plan = point
         index_len, symbol_len = config.index_bit_count, config.symbol_bit_count
-        width = config.samples_per_symbol
+        width, sample_rate, m = config.samples_per_symbol, config.sample_rate, config.m
+        symbol_energy = None  # awgn's default, the sample count
+        tones = _tones(plan.offsets, width, sample_rate)
         padding = {"zero_pad_factor": scenario.zero_pad_factor} if scenario.detector == "two-stage" else {}
-        detect = functools.partial(
-            _KERNELS[scenario.detector], plan=plan, m=config.m, sample_rate=config.sample_rate, **padding
-        )
+        detect = functools.partial(_KERNELS[scenario.detector], plan=plan, m=m, sample_rate=sample_rate, **padding)
+    table = constellation(m)
+    rotation = np.exp(1j * theta)
+    phasor = _cfo_phasor(delta_hz, width, sample_rate) if delta_hz else None
+    pattern_mask = (1 << symbol_len) - 1
     # Equal blocks of at most _BLOCK_SAMPLES samples (128 frames of 80 samples
     # make 43+43+42 rows, not 51+51+26): temporaries of one size reuse each
     # other's heap memory, which measurably leaves fewer free holes behind.
@@ -367,27 +370,31 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
     margin_sum = 0.0
     for lo in range(start, stop, step):
         hi = min(lo + step, stop)
-        for row, trial in enumerate(range(lo, hi)):
-            bits = rng.integers(0, 2, size=index_len + symbol_len).tolist()
-            block = DataBlock(index_bits=tuple(bits[:index_len]), symbol_bits=tuple(bits[index_len:]))
-            signal = modulate_frame(block, point) if is_ofdm else synthesize_block(block, plan, config)
-            if theta:
-                signal = apply_phase_rotation(signal, theta)
-            if delta_hz:
-                signal = apply_carrier_freq_error(signal, delta_hz)
-            received = frame_awgn(signal, es_n0_db, rng) if is_ofdm else awgn(signal, es_n0_db, rng)
-            received_rows[row] = received.samples
+        for r, trial in enumerate(range(lo, hi)):
             # These bits were drawn as 0/1, so they need no map_index check.
-            truth[0, row], truth[1, row] = _bits_to_int(block.index_bits), _bits_to_int(block.symbol_bits)
+            value = _bits_to_int(rng.integers(0, 2, size=index_len + symbol_len).tolist())
+            index, pattern = value >> symbol_len, value & pattern_mask
+            row = received_rows[r]
+            if is_ofdm:
+                _synthesize_frame(index, table[pattern], point, row)
+            else:
+                # a * tone in synthesize_block's operand order: swapped, the product rounds differently.
+                np.multiply(table[pattern], tones[index], out=row)
+            if theta:
+                row *= rotation
+            if delta_hz:
+                row *= phasor
+            row[...] = awgn(row, es_n0_db, rng, symbol_energy)
+            truth[0, r], truth[1, r] = index, pattern
             if dump is not None and trial < _DUMP_BLOCKS:
-                _dump_block(dump, trial, block, received)
-        best, pattern, _, margins = detect(received_rows[: hi - lo])
+                _dump_block(dump, trial, _int_to_bits(index, index_len), _int_to_bits(pattern, symbol_len), row)
+        best, pattern_hat, _, margins = detect(received_rows[: hi - lo])
         index_true, pattern_true = truth[:, : hi - lo]
-        index_err, pattern_err = best != index_true, pattern != pattern_true
+        index_err, pattern_err = best != index_true, pattern_hat != pattern_true
         counts[0] += int(np.count_nonzero(index_err))
         counts[1] += int(np.count_nonzero(pattern_err))
         counts[2] += int(np.count_nonzero(index_err | pattern_err))
-        counts[3] += int(np.bitwise_count(best ^ index_true).sum() + np.bitwise_count(pattern ^ pattern_true).sum())
+        counts[3] += int(np.bitwise_count(best ^ index_true).sum() + np.bitwise_count(pattern_hat ^ pattern_true).sum())
         # Added one trial after another, as a running float sum, so the mean rounds as it always has.
         margin_sum = float(np.cumsum(np.concatenate(([margin_sum], margins)))[-1])
     return counts, margin_sum
@@ -459,9 +466,9 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] 
     return rows
 
 
-def _dump_block(out: IO[str], trial: int, block: DataBlock, received) -> None:
-    out.write(f"# block {trial} index_bits={''.join(map(str, block.index_bits))} " f"symbol_bits={''.join(map(str, block.symbol_bits))}\n")
-    for t, value in enumerate(received.samples):
+def _dump_block(out: IO[str], trial: int, index_bits: tuple[int, ...], symbol_bits: tuple[int, ...], samples) -> None:
+    out.write(f"# block {trial} index_bits={''.join(map(str, index_bits))} " f"symbol_bits={''.join(map(str, symbol_bits))}\n")
+    for t, value in enumerate(samples):
         out.write(f"{t},{value.real:.12g},{value.imag:.12g}\n")
 
 

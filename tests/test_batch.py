@@ -6,6 +6,10 @@ as the public function does on row t alone.  Two-stage, the oracle and the
 OFDM demodulator match bit for bit.  joint-ml and noncoherent correlate a
 block with one matrix product, whose BLAS rounding differs in the last bits
 from a one-row product, so their metrics match to a few ulps of S.
+
+The engine's transmitter and channel work on bare sample rows; the rows it
+hands to a kernel must equal, bit for bit, what the public record chain
+computes from the same draws.
 """
 
 import tracemalloc
@@ -15,8 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fomlink.scenario
 from fomlink.codec import DataBlock
-from fomlink.ofdm import OfdmConfig, OfdmFrame, _demodulate_rows, demodulate_frame, frame_awgn, modulate_frame
+from fomlink.ofdm import (
+    OfdmConfig,
+    OfdmFrame,
+    _demodulate_rows,
+    demodulate_frame,
+    fom_to_ofdm_params,
+    frame_awgn,
+    modulate_frame,
+)
 from fomlink.phy import (
     _BLOCK_SAMPLES,
     BasebandSignal,
@@ -24,6 +37,7 @@ from fomlink.phy import (
     _noncoherent_rows,
     _oracle_rows,
     _two_stage_rows,
+    apply_carrier_freq_error,
     apply_phase_rotation,
     awgn,
     brute_force_oracle,
@@ -32,7 +46,7 @@ from fomlink.phy import (
     detect_two_stage,
     synthesize_block,
 )
-from fomlink.scenario import _count_chunk, scenario_from_dict
+from fomlink.scenario import _CHUNK, _count_chunk, run_monte_carlo, scenario_from_dict
 from fomlink.system import SystemConfig, build_frequency_plan
 
 
@@ -204,3 +218,78 @@ class TestBlockMemoryBound:
         counts, margin_sum = _count_chunk(scenario, point, scenario.channel.es_n0_db, 0, 1000)
         assert counts == [0, 0, 0, 0]
         assert margin_sum > 0.0
+
+
+def engine_rows(scenario, monkeypatch):
+    """Every row the engine hands to the scenario's detection kernel, in trial order."""
+    captured = []
+
+    def recording(kernel):
+        def record(rows, **kwargs):
+            captured.append(rows.copy())  # the engine reuses its block buffer
+            return kernel(rows, **kwargs)
+
+        return record
+
+    if scenario.mode == "ofdm":
+        monkeypatch.setattr(fomlink.scenario, "_demodulate_rows", recording(_demodulate_rows))
+    else:
+        kernels = fomlink.scenario._KERNELS
+        monkeypatch.setitem(kernels, scenario.detector, recording(kernels[scenario.detector]))
+    run_monte_carlo(scenario)
+    return np.concatenate(captured)
+
+
+def public_chain_rows(scenario):
+    """Every trial's received samples, rebuilt one trial at a time through the public records."""
+    channel = scenario.channel
+    config = scenario.system
+    if scenario.mode == "ofdm":
+        cfg = scenario.ofdm or fom_to_ofdm_params(config)
+        transmit, add_noise = (lambda block: modulate_frame(block, cfg)), frame_awgn
+    else:
+        plan = build_frequency_plan(config)
+        transmit, add_noise = (lambda block: synthesize_block(block, plan, config)), awgn
+    rows = []
+    for start in range(0, scenario.trials, _CHUNK):
+        rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, start // _CHUNK]))
+        for _ in range(start, min(start + _CHUNK, scenario.trials)):
+            signal = transmit(random_block(rng, config.n, config.m))
+            if channel.phase_rotation:
+                signal = apply_phase_rotation(signal, channel.phase_rotation)
+            if channel.carrier_freq_error:
+                signal = apply_carrier_freq_error(signal, channel.carrier_freq_error)
+            rows.append(add_noise(signal, channel.es_n0_db, rng).samples)
+    return np.array(rows)
+
+
+IMPAIRED = {"phase_rotation": 0.7, "carrier_freq_error": 0.013}
+
+
+class TestEngineRowsMatchPublicChain:
+    @pytest.mark.parametrize(
+        "n, m, detector, trials, es_n0_db",
+        [
+            (8, 4, "joint-ml", _CHUNK + 76, 5.0),  # two chunks, two streams
+            (8, 4, "two-stage", 100, None),
+            (1, 16, "joint-ml", 200, 8.0),  # no index bits
+        ],
+    )
+    def test_fom(self, n, m, detector, trials, es_n0_db, monkeypatch):
+        data = scenario_data(n, m, detector, trials=trials, channel={"es_n0_db": es_n0_db, **IMPAIRED})
+        scenario = scenario_from_dict(data)
+        got, want = engine_rows(scenario, monkeypatch), public_chain_rows(scenario)
+        assert got.shape == (trials, scenario.system.samples_per_symbol)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "index_mode, cp_len, es_n0_db",
+        [("single-active", 0, 6.0), ("single-silent", 4, 6.0), ("single-active", 4, None), ("single-silent", 0, None)],
+    )
+    def test_ofdm(self, index_mode, cp_len, es_n0_db, monkeypatch):
+        ofdm = {"n_subcarriers": 16, "spacing_hz": 1.0, "m": 16, "cp_len": cp_len, "index_mode": index_mode}
+        channel = {"es_n0_db": es_n0_db, **IMPAIRED}
+        scenario = scenario_from_dict(scenario_data(16, 16, "joint-ml", mode="ofdm", ofdm=ofdm, trials=300, channel=channel))
+        got, want = engine_rows(scenario, monkeypatch), public_chain_rows(scenario)
+        assert got.shape == (300, 16 + cp_len)
+        assert np.array_equal(got, want)

@@ -104,6 +104,20 @@ class TestModulation:
             quiet = np.flatnonzero(np.abs(bins) < 1e-12)
             assert quiet.tolist() == [k - 1]
 
+    @pytest.mark.parametrize("index_mode", INDEX_MODES)
+    @pytest.mark.parametrize("cp_len", [0, 4])
+    def test_frame_is_the_orthonormal_idft_of_its_bins(self, index_mode, cp_len):
+        # Bit for bit: the engine writes frames with the same helper, and its
+        # metrics and dumps must not move.
+        cfg = OfdmConfig(n_subcarriers=8, spacing_hz=15e3, m=4, cp_len=cp_len, index_mode=index_mode)
+        for block, k, pattern in all_blocks(8, 4):
+            bins = np.zeros(8, dtype=complex)
+            bins[:] = constellation(4)[pattern] if index_mode == "single-silent" else 0.0
+            bins[k - 1] = constellation(4)[pattern] if index_mode == "single-active" else 0.0
+            payload = np.fft.ifft(bins, norm="ortho")
+            want = np.concatenate([payload[len(payload) - cp_len :], payload])
+            assert np.array_equal(modulate_frame(block, cfg).time_samples, want)
+
     def test_parseval(self):
         cfg = OfdmConfig(n_subcarriers=16, spacing_hz=1e3, m=16, cp_len=0, index_mode="single-active")
         rng = np.random.default_rng(6)

@@ -171,6 +171,27 @@ class TestAwgn:
         explicit = awgn(signal, 20.0, 5, symbol_energy=4096.0)
         assert np.array_equal(implicit.samples, explicit.samples)
 
+    @pytest.mark.parametrize("symbol_energy", [None, 1.0])
+    def test_bare_array_gets_the_record_noise(self, symbol_energy):
+        config = link_config()
+        plan = build_frequency_plan(config)
+        signal = synthesize_block(random_block(np.random.default_rng(1), 8, 16), plan, config)
+        record_rng, array_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for es_n0_db in (3.0, 17.5):
+            record = awgn(signal, es_n0_db, record_rng, symbol_energy)
+            bare = awgn(signal.samples, es_n0_db, array_rng, symbol_energy)
+            assert type(bare) is np.ndarray
+            assert np.array_equal(bare, record.samples)
+        # Both generators are left in the same state.
+        assert record_rng.integers(2**63) == array_rng.integers(2**63)
+
+    def test_noiseless_bare_array_is_returned_unchanged(self):
+        samples = np.arange(16, dtype=complex)
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        assert awgn(samples, math.inf, rng) is samples
+        assert rng.bit_generator.state == state
+
 
 class TestImpairments:
     def test_rotation_preserves_energy(self):
