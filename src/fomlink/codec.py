@@ -71,7 +71,6 @@ def _bits_to_int(bits: Sequence[int]) -> int:
     return value
 
 
-@functools.lru_cache(maxsize=1 << 12)
 def _int_to_bits(value: int, width: int) -> tuple[int, ...]:
     """The low ``width`` bits of value, MSB first; inverse of `_bits_to_int`."""
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))

@@ -27,9 +27,7 @@ sigma^2 = S * 10**(-es_n0_db/10).
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,77 +112,18 @@ class DetectionResult:
     runner_up_margin: float
 
 
-class _TableCache:
-    """Tables keyed by what they are computed from, the oldest evicted first.
-
-    Sweep points differ in offsets and sample rate, so each point builds new
-    tables; the bound is on bytes, not on entries, because one table can be
-    anything from a few KiB to 64 MiB (``system.MAX_FILTER_BANK_SAMPLES``).
-    """
-
-    def __init__(self, max_bytes: int) -> None:
-        self.max_bytes = max_bytes
-        self.nbytes = 0
-        self._entries: dict = {}
-        self._lock = threading.Lock()
-
-    def memoize(self, build):
-        """Decorator: keep ``build(*args)`` here, keyed by the builder and its arguments."""
-        entries = self._entries
-
-        @functools.wraps(build)
-        def lookup(*args):
-            key = (build, *args)
-            value = entries.get(key)
-            if value is None:
-                value = build(*args)
-                self._insert(key, value)
-            return value
-
-        return lookup
-
-    def _insert(self, key: tuple, value) -> None:
-        with self._lock:
-            if key in self._entries:
-                return
-            self._entries[key] = value
-            self.nbytes += _nbytes(value)
-            while self.nbytes > self.max_bytes:
-                oldest = next(iter(self._entries))
-                self.nbytes -= _nbytes(self._entries.pop(oldest))
-
-
-def _nbytes(value) -> int:
-    return sum(a.nbytes for a in value) if isinstance(value, tuple) else value.nbytes
-
-
-# Room for every table of one sweep point at the system.py size caps: two
-# 64 MiB tone tables, a 64 MiB CFO phasor, a 32 MiB snap order and the
-# slicing terms (128 KiB at most).
-_TABLES = _TableCache(max_bytes=1 << 28)
-
-
-@_TABLES.memoize
 def _conj_tones(offsets: tuple[float, ...], count: int, sample_rate: float) -> np.ndarray:
     """Rows are exp(-2j*pi*f_k*t/fs): matched filters for each plan offset."""
     t = np.arange(count)
     return np.exp(-2j * math.pi * np.outer(np.asarray(offsets), t) / sample_rate)
 
 
-@_TABLES.memoize
-def _tones(offsets: tuple[float, ...], count: int, sample_rate: float) -> np.ndarray:
-    """Rows are exp(2j*pi*f_k*t/fs), the conjugates of `_conj_tones`."""
-    return np.conj(_conj_tones(offsets, count, sample_rate))
-
-
-@_TABLES.memoize
 def _cfo_phasor(delta_hz: float, count: int, sample_rate: float) -> np.ndarray:
     """exp(2j*pi*delta_hz*t/fs) for t = 0 .. count-1."""
     t = np.arange(count)
     return np.exp(2j * math.pi * delta_hz * t / sample_rate)
 
 
-@_TABLES.memoize
 def _snap_regions(offsets: tuple[float, ...], padded: int, sample_rate: float) -> tuple[np.ndarray, ...]:
     """FFT bins grouped by snapped offset: region regions[i] of spectrum[order] starts at starts[i]."""
     freqs = np.fft.fftfreq(padded, d=1.0 / sample_rate)
@@ -206,7 +145,8 @@ def synthesize_block(block: DataBlock, plan: FrequencyPlan, config: SystemConfig
     k = map_index(block.index_bits)
     a = constellation(config.m)[_bits_to_int(_bit_tuple(block.symbol_bits))]
     fs = config.sample_rate
-    tone = _tones(plan.offsets, config.samples_per_symbol, fs)[k - 1]
+    # The active row alone: each entry is computed on its own, so it equals that row of the full table.
+    tone = np.conj(_conj_tones(plan.offsets[k - 1 : k], config.samples_per_symbol, fs)[0])
     return BasebandSignal(samples=a * tone, sample_rate=fs, duration=1.0 / config.symbol_rate)
 
 
@@ -260,20 +200,19 @@ def apply_carrier_freq_error(signal: BasebandSignal, delta_hz: float) -> Baseban
     return _with_samples(signal, signal.samples * phasor)
 
 
-def _blockwise(rows: np.ndarray, per_row: int, kernel):
-    """``kernel(part)`` over blocks of rows, joined: each block holds at most
-    _BLOCK_SAMPLES // per_row rows (at least one), where per_row is the
-    kernel's largest temporary per row."""
+def _blockwise(per_row: int, kernel):
+    """A batch kernel that runs ``kernel(part)`` over blocks of rows and joins
+    the results: each block holds at most _BLOCK_SAMPLES // per_row rows (at
+    least one), where per_row is the kernel's largest temporary per row."""
     step = max(1, _BLOCK_SAMPLES // per_row)
-    if len(rows) <= step:
-        return kernel(rows)
-    parts = [kernel(rows[lo : lo + step]) for lo in range(0, len(rows), step)]
-    return tuple(np.concatenate(column) for column in zip(*parts))
 
+    def detect(rows: np.ndarray):
+        if len(rows) <= step:
+            return kernel(rows)
+        parts = [kernel(rows[lo : lo + step]) for lo in range(0, len(rows), step)]
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
-def _correlate(rows: np.ndarray, plan: FrequencyPlan, sample_rate: float) -> np.ndarray:
-    """c_k of every row of an (T, S) block against every plan tone: (T, n)."""
-    return rows @ _conj_tones(plan.offsets, rows.shape[-1], sample_rate).T
+    return detect
 
 
 def matched_filter_bank(signal: BasebandSignal, plan: FrequencyPlan) -> np.ndarray:
@@ -283,21 +222,21 @@ def matched_filter_bank(signal: BasebandSignal, plan: FrequencyPlan) -> np.ndarr
     number of cycles per interval, |c_j| equals the sample count and every
     other output is zero up to rounding.
     """
-    return _correlate(signal.samples[None], plan, signal.sample_rate)[0]
+    return (signal.samples[None] @ _conj_tones(plan.offsets, len(signal), signal.sample_rate).T)[0]
 
 
-@_TABLES.memoize
-def _slice_terms(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """conj(a) and |a|^2 * S for every pattern a: the fixed parts of the ML metric."""
+def _slicer(m: int, count: int):
+    """ML metric after slicing each c_k / S (ties to the smaller pattern), plus
+    the patterns, for c of any shape; conj(a) and |a|^2 * S, the fixed parts
+    of the metric, are built here once."""
     table = constellation(m)
-    return np.conj(table), np.abs(table) ** 2 * count
+    conj_a, energy = np.conj(table), np.abs(table) ** 2 * count
 
+    def slice_metrics(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        patterns = _demap_patterns(c / count, m)
+        return -2.0 * (conj_a[patterns] * c).real + energy[patterns], patterns
 
-def _slice_metrics(c: np.ndarray, m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """ML metric after slicing each c_k / S (ties to the smaller pattern), plus the patterns; any shape."""
-    patterns = _demap_patterns(c / count, m)
-    conj_a, energy = _slice_terms(m, count)
-    return -2.0 * (conj_a[patterns] * c).real + energy[patterns], patterns
+    return slice_metrics
 
 
 def _pick(metrics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -321,53 +260,53 @@ def _detection(kernel_result, m: int) -> DetectionResult:
     return DetectionResult(k_hat=int(best[0]) + 1, symbol_bits_hat=bits, metric=float(metric[0]), runner_up_margin=float(margin[0]))
 
 
-def _joint_ml_rows(rows: np.ndarray, plan: FrequencyPlan, m: int, sample_rate: float):
-    """Batch kernel of `detect_joint_ml`: (best, pattern, metric, margin) per row, best 0-based."""
+def _joint_ml_rows(conj_tones: np.ndarray, m: int):
+    """Batch kernel of `detect_joint_ml`."""
+    slice_metrics = _slicer(m, conj_tones.shape[-1])
 
     def kernel(part):
-        metrics, patterns = _slice_metrics(_correlate(part, plan, sample_rate), m, rows.shape[-1])
+        metrics, patterns = slice_metrics(part @ conj_tones.T)
         best, margin = _pick(metrics)
         return best, _at(patterns, best), _at(metrics, best), margin
 
-    return _blockwise(rows, plan.tx_count * m, kernel)
+    return _blockwise(len(conj_tones) * m, kernel)
 
 
-def _noncoherent_rows(rows: np.ndarray, plan: FrequencyPlan, m: int, sample_rate: float):
+def _noncoherent_rows(conj_tones: np.ndarray, m: int):
     """Batch kernel of `detect_noncoherent`."""
+    n, count = conj_tones.shape
 
     def kernel(part):
-        c = _correlate(part, plan, sample_rate)
+        c = part @ conj_tones.T
         ranking = -np.abs(c)
         best, margin = _pick(ranking)
-        return best, _demap_patterns(_at(c, best) / rows.shape[-1], m), _at(ranking, best), margin
+        return best, _demap_patterns(_at(c, best) / count, m), _at(ranking, best), margin
 
-    return _blockwise(rows, max(plan.tx_count, m), kernel)
+    return _blockwise(max(n, m), kernel)
 
 
-def _two_stage_rows(rows: np.ndarray, plan: FrequencyPlan, m: int, sample_rate: float, zero_pad_factor: int = 16):
-    """Batch kernel of `detect_two_stage`."""
-    count = rows.shape[-1]
-    padded = zero_pad_factor * count
-    order, starts, regions = _snap_regions(plan.offsets, padded, sample_rate)
+def _two_stage_rows(conj_tones: np.ndarray, m: int, snap_regions: tuple[np.ndarray, ...]):
+    """Batch kernel of `detect_two_stage` over the zero-padded FFT bins that `_snap_regions` grouped."""
+    n, count = conj_tones.shape
+    order, starts, regions = snap_regions
+    padded = len(order)
 
     def kernel(part):
         spectrum = np.abs(np.fft.fft(part, n=padded, axis=-1))
         # Peak magnitude within each offset's snap region; empty regions rank last.
-        peaks = np.zeros((len(part), plan.tx_count))
+        peaks = np.zeros((len(part), n))
         peaks[:, regions] = np.maximum.reduceat(spectrum[:, order], starts, axis=-1)
         best, margin = _pick(-peaks)
-        c = _at(_correlate(part, plan, sample_rate), best)
+        c = _at(part @ conj_tones.T, best)
         return best, _demap_patterns(c / count, m), -_at(peaks, best), margin
 
-    return _blockwise(rows, max(padded, plan.tx_count, m), kernel)
+    return _blockwise(max(padded, n, m), kernel)
 
 
-def _oracle_rows(rows: np.ndarray, plan: FrequencyPlan, m: int, sample_rate: float):
+def _oracle_rows(tones: np.ndarray, m: int):
     """Batch kernel of `brute_force_oracle`: distances over blocks of trials x candidates."""
-    count = rows.shape[-1]
-    n = plan.tx_count
+    n, count = tones.shape
     table = constellation(m)
-    tones = _tones(plan.offsets, count, sample_rate)
     step = max(1, _BLOCK_SAMPLES // (m * count))  # offsets per candidate block
 
     def kernel(part):
@@ -383,7 +322,39 @@ def _oracle_rows(rows: np.ndarray, plan: FrequencyPlan, m: int, sample_rate: flo
         best, margin = _pick(per_offset)
         return best, _at(patterns, best), _at(per_offset, best), margin
 
-    return _blockwise(rows, n, kernel)
+    return _blockwise(n, kernel)
+
+
+DETECTORS = ("joint-ml", "noncoherent", "two-stage", "oracle")
+
+
+def _fom_link(detector: str, plan: FrequencyPlan, m: int, count: int, sample_rate: float, zero_pad_factor: int = 16):
+    """The tone rows of one sweep point and the batch kernel of its detector
+    (one of DETECTORS), every table of the point built here, once.
+
+    The kernel maps a (T, count) block of received rows to (best, pattern,
+    metric, margin) per row, best 0-based; the public detectors call it with
+    one row.
+    """
+    conj_tones = _conj_tones(plan.offsets, count, sample_rate)
+    tones = np.conj(conj_tones)
+    if detector == "joint-ml":
+        return tones, _joint_ml_rows(conj_tones, m)
+    if detector == "noncoherent":
+        return tones, _noncoherent_rows(conj_tones, m)
+    if detector == "two-stage":
+        return tones, _two_stage_rows(conj_tones, m, _snap_regions(plan.offsets, zero_pad_factor * count, sample_rate))
+    if detector == "oracle":
+        return tones, _oracle_rows(tones, m)
+    raise ValueError(f"unknown detector {detector!r}")
+
+
+def _decide(
+    detector: str, signal: BasebandSignal, plan: FrequencyPlan, m: int, zero_pad_factor: int = 16
+) -> DetectionResult:
+    """One block's decision by ``detector``'s batch kernel, its tables built for this call."""
+    _, detect = _fom_link(detector, plan, m, len(signal), signal.sample_rate, zero_pad_factor)
+    return _detection(detect(signal.samples[None]), m)
 
 
 def detect_joint_ml(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> DetectionResult:
@@ -393,7 +364,7 @@ def detect_joint_ml(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> Dete
     compete on -2*Re(conj(a)*c_k) + |a|^2*S.  Ties prefer the smaller index
     and the smaller bit pattern.
     """
-    return _detection(_joint_ml_rows(signal.samples[None], plan, m, signal.sample_rate), m)
+    return _decide("joint-ml", signal, plan, m)
 
 
 def detect_noncoherent(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> DetectionResult:
@@ -402,7 +373,7 @@ def detect_noncoherent(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> D
     Insensitive to a global phase rotation by construction, but suboptimal
     for constellations with more than one amplitude ring.
     """
-    return _detection(_noncoherent_rows(signal.samples[None], plan, m, signal.sample_rate), m)
+    return _decide("noncoherent", signal, plan, m)
 
 
 def detect_two_stage(
@@ -420,7 +391,7 @@ def detect_two_stage(
     """
     if zero_pad_factor < 1:
         raise ValueError(f"zero_pad_factor must be >= 1, got {zero_pad_factor!r}")
-    return _detection(_two_stage_rows(signal.samples[None], plan, m, signal.sample_rate, zero_pad_factor), m)
+    return _decide("two-stage", signal, plan, m, zero_pad_factor)
 
 
 def brute_force_oracle(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> DetectionResult:
@@ -430,4 +401,4 @@ def brute_force_oracle(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> D
     `detect_joint_ml` (smaller index, then smaller bit pattern).  Slow on
     purpose; it exists to check the fast detectors.
     """
-    return _detection(_oracle_rows(signal.samples[None], plan, m, signal.sample_rate), m)
+    return _decide("oracle", signal, plan, m)

@@ -20,7 +20,7 @@ import functools
 import json
 import math
 from dataclasses import astuple, dataclass, fields, replace
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
@@ -29,13 +29,10 @@ from .codec import _bits_to_int, _int_to_bits, constellation
 from .ofdm import OfdmConfig, _demodulate_rows, _synthesize_frame, fom_to_ofdm_params
 from .phy import (
     _BLOCK_SAMPLES,
+    DETECTORS,
     ChannelSpec,
     _cfo_phasor,
-    _joint_ml_rows,
-    _noncoherent_rows,
-    _oracle_rows,
-    _tones,
-    _two_stage_rows,
+    _fom_link,
     awgn,
     detect_joint_ml,  # not called here: linkbench's tracing tests look it up in this namespace
 )
@@ -65,14 +62,6 @@ __all__ = [
     "wilson_interval",
 ]
 
-# The batch kernel behind each fom detector.
-_KERNELS = {
-    "joint-ml": _joint_ml_rows,
-    "noncoherent": _noncoherent_rows,
-    "two-stage": _two_stage_rows,
-    "oracle": _oracle_rows,
-}
-DETECTORS = tuple(_KERNELS)
 MODES = ("fom", "ofdm")
 SWEEP_AXES = ("es_n0_db", "df_t")
 
@@ -327,7 +316,39 @@ def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> t
     return lo, hi
 
 
-def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: int, dump=None) -> tuple[list[int], float]:
+@dataclass(frozen=True)
+class _Point:
+    """One sweep point as the engine runs it, every table built once; dropped when the point is done."""
+
+    n: int
+    m: int
+    df_t: float
+    width: int  # samples per trial
+    tones: np.ndarray | None  # fom: the tone rows that synthesis scales
+    frame: OfdmConfig | None  # ofdm: the frame that synthesis fills
+    detect: Callable  # batch kernel: (rows, width) block -> (best, pattern, metric, margin)
+    phasor: np.ndarray | None  # the carrier frequency error's, when there is one
+    symbol_energy: float | None  # frame_awgn's calibration, or awgn's default (the sample count)
+
+
+def _sweep_point(scenario: Scenario, config: SystemConfig) -> _Point:
+    """The point that runs ``config`` (a swept copy of the scenario's system), its tables built."""
+    if scenario.mode == "fom":
+        width, sample_rate = config.samples_per_symbol, config.sample_rate
+        plan = _frequency_plan(config)
+        tones, detect = _fom_link(scenario.detector, plan, config.m, width, sample_rate, scenario.zero_pad_factor)
+        n, m, df_t, frame, symbol_energy = config.n, config.m, config.delta_f_hz / config.symbol_rate, None, None
+    else:
+        frame = scenario.ofdm or fom_to_ofdm_params(scenario.system)
+        width, sample_rate = frame.frame_len, frame.sample_rate
+        detect = functools.partial(_demodulate_rows, cfg=frame)  # the FFT needs no table
+        n, m, df_t, tones, symbol_energy = frame.n_subcarriers, frame.m, 1.0, None, 1.0
+    delta_hz = scenario.channel.carrier_freq_error
+    phasor = _cfo_phasor(delta_hz, width, sample_rate) if delta_hz else None
+    return _Point(n, m, df_t, width, tones, frame, detect, phasor, symbol_energy)
+
+
+def _count_chunk(scenario: Scenario, point: _Point, es_n0_db: float, start: int, stop: int, dump=None) -> tuple[list[int], float]:
     """Error counts (index, symbol, block, bit) and the margin sum over trials start..stop-1.
 
     The span is one whole chunk, or the last one; its trials draw in order
@@ -340,24 +361,10 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
     `awgn` or `frame_awgn`) computes for the same draws.
     """
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, start // _CHUNK]))
-    theta, delta_hz = scenario.channel.phase_rotation, scenario.channel.carrier_freq_error
-    is_ofdm = scenario.mode == "ofdm"
-    if is_ofdm:
-        index_len, symbol_len = (point.n_subcarriers - 1).bit_length(), (point.m - 1).bit_length()
-        width, sample_rate, m = point.frame_len, point.sample_rate, point.m
-        symbol_energy = 1.0  # frame_awgn's calibration
-        detect = functools.partial(_demodulate_rows, cfg=point)
-    else:
-        config, plan = point
-        index_len, symbol_len = config.index_bit_count, config.symbol_bit_count
-        width, sample_rate, m = config.samples_per_symbol, config.sample_rate, config.m
-        symbol_energy = None  # awgn's default, the sample count
-        tones = _tones(plan.offsets, width, sample_rate)
-        padding = {"zero_pad_factor": scenario.zero_pad_factor} if scenario.detector == "two-stage" else {}
-        detect = functools.partial(_KERNELS[scenario.detector], plan=plan, m=m, sample_rate=sample_rate, **padding)
-    table = constellation(m)
+    theta, width, phasor = scenario.channel.phase_rotation, point.width, point.phasor
+    index_len, symbol_len = (point.n - 1).bit_length(), (point.m - 1).bit_length()
+    table = constellation(point.m)
     rotation = np.exp(1j * theta)
-    phasor = _cfo_phasor(delta_hz, width, sample_rate) if delta_hz else None
     pattern_mask = (1 << symbol_len) - 1
     # Equal blocks of at most _BLOCK_SAMPLES samples (128 frames of 80 samples
     # make 43+43+42 rows, not 51+51+26): temporaries of one size reuse each
@@ -375,20 +382,20 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
             value = _bits_to_int(rng.integers(0, 2, size=index_len + symbol_len).tolist())
             index, pattern = value >> symbol_len, value & pattern_mask
             row = received_rows[r]
-            if is_ofdm:
-                _synthesize_frame(index, table[pattern], point, row)
+            if point.frame is not None:
+                _synthesize_frame(index, table[pattern], point.frame, row)
             else:
                 # a * tone in synthesize_block's operand order: swapped, the product rounds differently.
-                np.multiply(table[pattern], tones[index], out=row)
+                np.multiply(table[pattern], point.tones[index], out=row)
             if theta:
                 row *= rotation
-            if delta_hz:
+            if phasor is not None:
                 row *= phasor
-            row[...] = awgn(row, es_n0_db, rng, symbol_energy)
+            row[...] = awgn(row, es_n0_db, rng, point.symbol_energy)
             truth[0, r], truth[1, r] = index, pattern
             if dump is not None and trial < _DUMP_BLOCKS:
                 _dump_block(dump, trial, _int_to_bits(index, index_len), _int_to_bits(pattern, symbol_len), row)
-        best, pattern_hat, _, margins = detect(received_rows[: hi - lo])
+        best, pattern_hat, _, margins = point.detect(received_rows[: hi - lo])
         index_true, pattern_true = truth[:, : hi - lo]
         index_err, pattern_err = best != index_true, pattern_hat != pattern_true
         counts[0] += int(np.count_nonzero(index_err))
@@ -403,12 +410,13 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
 def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] | None = None) -> list[MetricsRow]:
     """Run every sweep point and return one metrics row per point.
 
-    Each point's trials run in fixed-size chunks, in order, in the calling
-    thread.  ``workers`` is accepted for compatibility and must be >= 1; on a
-    2-core host a thread pool over the chunks measured no faster than one
-    thread, so it no longer selects a code path.  ``dump_signals`` (a text
-    file) gets the received samples of the first few counted trials of the
-    first sweep point as `t,re,im` rows with `# block` separators.
+    Each point's tables are built once, before its first trial, and dropped
+    after its last.  Its trials run in fixed-size chunks, in order, in the
+    calling thread.  ``workers`` is accepted for compatibility and must be
+    >= 1; on a 2-core host a thread pool over the chunks measured no faster
+    than one thread, so it no longer selects a code path.  ``dump_signals``
+    (a text file) gets the received samples of the first few counted trials
+    of the first sweep point as `t,re,im` rows with `# block` separators.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -423,14 +431,7 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] 
         else:
             config = scenario.system
             es_n0_db = sweep_value if sweep_value is not None else scenario.channel.es_n0_db
-        if scenario.mode == "fom":
-            point = (config, _frequency_plan(config))
-            n, m = config.n, config.m
-            df_t = config.delta_f_hz / config.symbol_rate
-        else:
-            point = scenario.ofdm or fom_to_ofdm_params(scenario.system)
-            n, m = point.n_subcarriers, point.m
-            df_t = 1.0
+        point = _sweep_point(scenario, config)
 
         dump = dump_signals if point_idx == 0 else None
         if dump is not None:
@@ -445,15 +446,15 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] 
             )
             counts += chunk_counts
             margin_sum += chunk_margin
-        bits_per_block = (n - 1).bit_length() + (m - 1).bit_length()
+        bits_per_block = (point.n - 1).bit_length() + (point.m - 1).bit_length()
         rows.append(
             MetricsRow(
                 mode=scenario.mode,
                 detector=scenario.detector,
-                n=n,
-                m=m,
+                n=point.n,
+                m=point.m,
                 es_n0_db=es_n0_db,
-                df_t=df_t,
+                df_t=point.df_t,
                 trials=scenario.trials,
                 index_error_rate=int(counts[0]) / scenario.trials,
                 symbol_error_rate=int(counts[1]) / scenario.trials,
@@ -463,6 +464,7 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] 
                 seed=scenario.seed,
             )
         )
+        del point  # its tables go now, not after the next point has built its own
     return rows
 
 

@@ -15,7 +15,6 @@ index-modulation bandwidth expansion is ``delta_b = (n - 1) * delta_f``.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
@@ -100,12 +99,11 @@ class SystemConfig:
         """Index-modulation bandwidth expansion (n - 1) * delta_f."""
         return (self.n - 1) * self.delta_f_hz
 
-    # Cached: the record is frozen, and synthesis reads both on every trial.
-    @functools.cached_property
+    @property
     def sample_rate(self) -> float:
         return self.oversample * (self.bandwidth_hz + self.delta_b_hz)
 
-    @functools.cached_property
+    @property
     def samples_per_symbol(self) -> int:
         # Via the interval length so it agrees exactly with signal checks.
         return int(round(self.sample_rate * (1.0 / self.symbol_rate)))

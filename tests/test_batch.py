@@ -13,6 +13,7 @@ computes from the same draws.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,10 +34,7 @@ from fomlink.ofdm import (
 from fomlink.phy import (
     _BLOCK_SAMPLES,
     BasebandSignal,
-    _joint_ml_rows,
-    _noncoherent_rows,
-    _oracle_rows,
-    _two_stage_rows,
+    _fom_link,
     apply_carrier_freq_error,
     apply_phase_rotation,
     awgn,
@@ -46,7 +44,7 @@ from fomlink.phy import (
     detect_two_stage,
     synthesize_block,
 )
-from fomlink.scenario import _CHUNK, _count_chunk, run_monte_carlo, scenario_from_dict
+from fomlink.scenario import _CHUNK, _count_chunk, _sweep_point, run_monte_carlo, scenario_from_dict
 from fomlink.system import SystemConfig, build_frequency_plan
 
 
@@ -58,6 +56,12 @@ def random_block(rng, n, m):
     bits = rng.integers(0, 2, size=(n - 1).bit_length() + (m - 1).bit_length()).tolist()
     split = (n - 1).bit_length()
     return DataBlock(index_bits=tuple(bits[:split]), symbol_bits=tuple(bits[split:]))
+
+
+def batch_rows(detector, rows, plan, m, sample_rate, zero_pad_factor=16):
+    """The detector's batch kernel over every row, its tables built for this call."""
+    _, detect = _fom_link(detector, plan, m, rows.shape[-1], sample_rate, zero_pad_factor)
+    return detect(rows)
 
 
 def as_results(kernel_result, m):
@@ -102,14 +106,14 @@ class TestBatchMatchesPublicDetectors:
         signals = [BasebandSignal(row, config.sample_rate, 1.0 / config.symbol_rate) for row in rows]
         fs, count = config.sample_rate, config.samples_per_symbol
 
-        batch = as_results(_joint_ml_rows(rows, plan, m, fs), m)
+        batch = as_results(batch_rows("joint-ml", rows, plan, m, fs), m)
         assert_rows_match(batch, [detect_joint_ml(s, plan, m) for s in signals], False, count)
-        batch = as_results(_noncoherent_rows(rows, plan, m, fs), m)
+        batch = as_results(batch_rows("noncoherent", rows, plan, m, fs), m)
         assert_rows_match(batch, [detect_noncoherent(s, plan, m) for s in signals], False, count)
         for pad in (1, 4):
-            batch = as_results(_two_stage_rows(rows, plan, m, fs, pad), m)
+            batch = as_results(batch_rows("two-stage", rows, plan, m, fs, pad), m)
             assert_rows_match(batch, [detect_two_stage(s, plan, m, pad) for s in signals], True, count)
-        batch = as_results(_oracle_rows(rows, plan, m, fs), m)
+        batch = as_results(batch_rows("oracle", rows, plan, m, fs), m)
         assert_rows_match(batch, [brute_force_oracle(s, plan, m) for s in signals], True, count)
 
     @settings(max_examples=40, deadline=None)
@@ -134,17 +138,17 @@ class TestBatchMatchesPublicDetectors:
         assert_rows_match(as_results(_demodulate_rows(rows, cfg), m), singles, True, n)
 
 
-# Peak traced bytes of one engine chunk, measured after a warm-up call has
-# built the point's tables.  The slack covers the interpreter's free lists
-# (about 2000 tuples the per-trial bits leave behind) and small records.
+# Peak traced bytes of one engine chunk, measured after the point's tables
+# are built and a warm-up call has run.  The slack covers the interpreter's
+# free lists (about 2000 tuples the per-trial bits leave behind) and small
+# records.
 SLACK = 256 * 1024
 COMPLEX = 16
 
 
 def chunk_peak(data, trials):
     scenario = scenario_from_dict({**data, "trials": trials})
-    config = scenario.system
-    point = (config, build_frequency_plan(config))
+    point = _sweep_point(scenario, scenario.system)
     _count_chunk(scenario, point, scenario.channel.es_n0_db, 0, 1)
     tracemalloc.start()
     try:
@@ -198,15 +202,16 @@ class TestBlockMemoryBound:
                 for _ in range(_BLOCK_SAMPLES // config.samples_per_symbol)
             ]
         )
-        _oracle_rows(rows[:1], plan, m, config.sample_rate)
+        _, oracle = _fom_link("oracle", plan, m, config.samples_per_symbol, config.sample_rate)
+        oracle(rows[:1])
         tracemalloc.start()
         try:
-            best, pattern, _, _ = _oracle_rows(rows, plan, m, config.sample_rate)
+            best, pattern, _, _ = oracle(rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < COMPLEX * 4 * m * config.samples_per_symbol
-        joint = _joint_ml_rows(rows, plan, m, config.sample_rate)
+        joint = batch_rows("joint-ml", rows, plan, m, config.sample_rate)
         assert best.tolist() == joint[0].tolist() and pattern.tolist() == joint[1].tolist()
 
     def test_row_blocks_of_a_chunk_count_every_trial(self):
@@ -214,7 +219,7 @@ class TestBlockMemoryBound:
         # one of 40; noiseless, every drawn index and pattern comes back.
         data = scenario_data(8, 4, "oracle", channel={"es_n0_db": None})
         scenario = scenario_from_dict({**data, "trials": 1000})
-        point = (scenario.system, build_frequency_plan(scenario.system))
+        point = _sweep_point(scenario, scenario.system)
         counts, margin_sum = _count_chunk(scenario, point, scenario.channel.es_n0_db, 0, 1000)
         assert counts == [0, 0, 0, 0]
         assert margin_sum > 0.0
@@ -224,18 +229,16 @@ def engine_rows(scenario, monkeypatch):
     """Every row the engine hands to the scenario's detection kernel, in trial order."""
     captured = []
 
-    def recording(kernel):
-        def record(rows, **kwargs):
+    def recording_point(scenario, config):
+        point = _sweep_point(scenario, config)
+
+        def record(rows):
             captured.append(rows.copy())  # the engine reuses its block buffer
-            return kernel(rows, **kwargs)
+            return point.detect(rows)
 
-        return record
+        return replace(point, detect=record)
 
-    if scenario.mode == "ofdm":
-        monkeypatch.setattr(fomlink.scenario, "_demodulate_rows", recording(_demodulate_rows))
-    else:
-        kernels = fomlink.scenario._KERNELS
-        monkeypatch.setitem(kernels, scenario.detector, recording(kernels[scenario.detector]))
+    monkeypatch.setattr(fomlink.scenario, "_sweep_point", recording_point)
     run_monte_carlo(scenario)
     return np.concatenate(captured)
 

@@ -1,5 +1,6 @@
 """Waveform synthesis, the AWGN channel, and the detector family."""
 
+import gc
 import math
 import tracemalloc
 
@@ -8,16 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fomlink import phy
 from fomlink.codec import DataBlock, constellation, demap_index, demap_symbol, map_symbol
 from fomlink.phy import (
     BasebandSignal,
     ChannelSpec,
     DetectionResult,
-    _TableCache,
     _conj_tones,
     _pick,
-    _slice_metrics,
+    _slicer,
     _snap_regions,
     apply_carrier_freq_error,
     apply_phase_rotation,
@@ -30,7 +29,7 @@ from fomlink.phy import (
     synthesize_block,
 )
 from fomlink.scenario import run_monte_carlo, scenario_from_dict
-from fomlink.system import MAX_FILTER_BANK_SAMPLES, MAX_SNAP_TABLE_ENTRIES, SystemConfig, build_frequency_plan
+from fomlink.system import SystemConfig, build_frequency_plan
 
 
 def link_config(n=8, m=16, df_t=1.0, oversample=8):
@@ -480,7 +479,7 @@ class TestKernelsMatchPerOffsetLoops:
         # The origin and each point's real part lie at equal distance from
         # mirror-image points; the sign symmetry makes those ties exact.
         c = count * np.concatenate([[0.0], table.real, 1j * table.imag])
-        metrics, patterns = _slice_metrics(c, m, count)
+        metrics, patterns = _slicer(m, count)(c)
         want_metrics, want_patterns = reference_slice(c, m, count)
         assert patterns.tolist() == want_patterns
         assert metrics == pytest.approx(want_metrics, rel=1e-12, abs=1e-12 * count)
@@ -530,31 +529,11 @@ class TestKernelsMatchPerOffsetLoops:
         assert got == reference_oracle(signal, plan, 256)
 
 
-class TestTableCache:
-    def test_oldest_tables_go_first_and_oversized_ones_are_not_kept(self):
-        cache = _TableCache(max_bytes=3 * 800)
-        table = cache.memoize(lambda nbytes, name: np.zeros(nbytes // 8))
-        first = table(800, "a")
-        table(800, "b")
-        table(800, "c")
-        assert table(800, "a") is first
-        table(800, "d")
-        assert cache.nbytes == 3 * 800
-        assert table(800, "a") is not first
-        assert table(4000, "big").nbytes == 4000
-        assert cache.nbytes == 0
-
-    def test_bound_holds_every_table_of_one_point_at_the_size_caps(self):
-        # Tones and matched filters at n * S = MAX_FILTER_BANK_SAMPLES, the CFO
-        # phasor at n = 1 (S = MAX_FILTER_BANK_SAMPLES), two-stage's int64 snap order.
-        complex_table = 16 * MAX_FILTER_BANK_SAMPLES
-        assert 3 * complex_table + 8 * MAX_SNAP_TABLE_ENTRIES <= phy._TABLES.max_bytes
-
-    def test_bytes_held_stay_under_the_bound_across_a_long_df_t_sweep(self, monkeypatch):
+class TestTableRetention:
+    def test_bytes_held_do_not_grow_across_a_long_df_t_sweep(self):
         # Every df_t point builds its own tone, matched-filter, CFO and snap
-        # tables (6 to 91 KiB here); unbounded, 40 points would hold 1.9 MiB.
-        bound = 256 * 1024
-        monkeypatch.setattr(phy._TABLES, "max_bytes", bound)
+        # tables (6 to 91 KiB here); kept after their point, 40 points would
+        # hold 1.9 MiB.
         data = {
             "system": link_config(n=8, m=4).to_dict(),
             "channel": {"es_n0_db": 10.0, "phase_rotation": 0.1, "carrier_freq_error": 0.01},
@@ -563,10 +542,18 @@ class TestTableCache:
             "seed": 5,
         }
         df_ts = [0.1 * k for k in range(1, 41)]
-        rows = []
-        for df_t in df_ts:
-            rows += run_monte_carlo(scenario_from_dict({**data, "sweep": {"df_t": [df_t]}}))
-            held = list(phy._TABLES._entries.values())
-            assert phy._TABLES.nbytes == sum(phy._nbytes(value) for value in held) <= bound
-        monkeypatch.undo()
+        rows, held = [], []
+        # Frozen, the objects alive before the runs are not scanned again: each
+        # collection looks only at what the runs left, not at the whole session's heap.
+        gc.freeze()
+        tracemalloc.start()
+        try:
+            for df_t in df_ts:
+                rows += run_monte_carlo(scenario_from_dict({**data, "sweep": {"df_t": [df_t]}}))
+                gc.collect()
+                held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+            gc.unfreeze()
+        assert held[-1] - held[0] < 32 * 1024
         assert rows == run_monte_carlo(scenario_from_dict({**data, "sweep": {"df_t": df_ts}}))

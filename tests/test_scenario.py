@@ -46,6 +46,13 @@ def scenario_dict(**overrides):
     return data
 
 
+def noncoherent_fsk_index_error(n, es_n0_db):
+    """Symbol error rate of noncoherent orthogonal n-FSK (Proakis, Digital Communications, 4.5):
+    P = sum_k (-1)^(k+1) C(n-1, k) / (k+1) * exp(-k/(k+1) * Es/N0)."""
+    es_n0 = 10 ** (es_n0_db / 10)
+    return sum((-1) ** (k + 1) * math.comb(n - 1, k) / (k + 1) * math.exp(-k / (k + 1) * es_n0) for k in range(1, n))
+
+
 def render_csv(scenario, rows):
     buf = io.StringIO()
     write_metrics_csv(rows, scenario, buf)
@@ -350,18 +357,14 @@ class TestMonteCarlo:
     def test_noncoherent_index_error_is_noncoherent_fsk_under_rotation(self):
         # At delta_f * T = 1 the tones are orthogonal and QPSK has one
         # amplitude, so argmax |c_k| errs exactly as noncoherent orthogonal
-        # 8-FSK (Proakis, Digital Communications, 4.5), whatever the phase:
-        # P = sum_k (-1)^(k+1) C(n-1, k) / (k+1) * exp(-k/(k+1) * Es/N0).
-        trials, n = 10_000, 8
+        # 8-FSK, whatever the phase.
+        trials = 10_000
         rotated = {"es_n0_db": 6.0, "phase_rotation": math.pi / 4}
         s = scenario_from_dict(
             scenario_dict(detector="noncoherent", trials=trials, channel=rotated, sweep={"es_n0_db": [2.0, 4.0, 6.0]})
         )
         for row in run_monte_carlo(s):
-            es_n0 = 10 ** (row.es_n0_db / 10)
-            want = sum(
-                (-1) ** (k + 1) * math.comb(n - 1, k) / (k + 1) * math.exp(-k / (k + 1) * es_n0) for k in range(1, n)
-            )
+            want = noncoherent_fsk_index_error(8, row.es_n0_db)
             lo, hi = wilson_interval(round(row.index_error_rate * trials), trials)
             assert lo <= want <= hi, (row.es_n0_db, row.index_error_rate, want)
         # The coherent rule assumes the phase is known: the same rotation costs it index errors.
@@ -372,6 +375,21 @@ class TestMonteCarlo:
         _, hi_still = wilson_interval(round(still * trials), trials)
         lo_turned, _ = wilson_interval(round(turned * trials), trials)
         assert hi_still < lo_turned
+
+    @pytest.mark.parametrize("phase_rotation", [0.0, math.pi / 4])
+    def test_ofdm_single_active_index_error_is_noncoherent_fsk(self, phase_rotation):
+        # The orthonormal DFT maps the active subcarrier and the noise onto
+        # independent bins, and QPSK has one amplitude, so the argmax-energy
+        # index errs exactly as noncoherent orthogonal 8-FSK at the bin Es/N0.
+        trials = 10_000
+        channel = {"es_n0_db": 6.0, "phase_rotation": phase_rotation}
+        s = scenario_from_dict(
+            scenario_dict(mode="ofdm", trials=trials, channel=channel, sweep={"es_n0_db": [2.0, 4.0, 6.0]})
+        )
+        for row in run_monte_carlo(s):
+            want = noncoherent_fsk_index_error(8, row.es_n0_db)
+            lo, hi = wilson_interval(round(row.index_error_rate * trials), trials)
+            assert lo <= want <= hi, (row.es_n0_db, row.index_error_rate, want)
 
     def test_ofdm_rows(self):
         s = scenario_from_dict(scenario_dict(mode="ofdm", trials=300, channel={"es_n0_db": 15.0}))
