@@ -108,9 +108,8 @@ def _synthesize_frame(index: int, a: complex, cfg: OfdmConfig, out: np.ndarray) 
     else:
         bins = np.full(cfg.n_subcarriers, a, dtype=np.complex128)
         bins[index] = 0.0
-    payload = np.fft.ifft(bins, norm="ortho")
-    out[cfg.cp_len :] = payload
-    out[: cfg.cp_len] = payload[cfg.n_subcarriers - cfg.cp_len :]
+    np.fft.ifft(bins, norm="ortho", out=out[cfg.cp_len :])
+    out[: cfg.cp_len] = out[cfg.n_subcarriers :]
     return out
 
 

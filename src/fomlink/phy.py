@@ -173,7 +173,14 @@ def awgn(
     defaults to the sample count, which is correct for the rectangular
     tone.  Per-sample variance is then symbol_energy * 10**(-es_n0_db/10).
     An es_n0_db of +inf returns the input unchanged, bit for bit.
-    Deterministic for a given seed.
+
+    The noise is one ``standard_normal((2, count))`` draw: the count real
+    parts first, then the count imaginary parts, which is what two
+    successive ``standard_normal(count)`` calls return.  That order is the
+    stream contract the Monte-Carlo engine's seed scheme rests on.  Each
+    part is scaled and added to its half of a complex128 copy of the
+    samples, so the result is bit for bit
+    ``samples + scale * (real + 1j * imag)``.
     """
     if es_n0_db == math.inf:
         return signal
@@ -184,8 +191,11 @@ def awgn(
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     sigma2 = symbol_energy * 10.0 ** (-es_n0_db / 10.0)
     scale = math.sqrt(sigma2 / 2.0)
-    noise = scale * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
-    noisy = samples + noise
+    noise = rng.standard_normal((2, count))
+    noise *= scale
+    noisy = np.array(samples, dtype=np.complex128)
+    noisy.real += noise[0]
+    noisy.imag += noise[1]
     return noisy if samples is signal else _with_samples(signal, noisy)
 
 
@@ -290,17 +300,27 @@ def _two_stage_rows(conj_tones: np.ndarray, m: int, snap_regions: tuple[np.ndarr
     n, count = conj_tones.shape
     order, starts, regions = snap_regions
     padded = len(order)
+    step = max(1, _BLOCK_SAMPLES // padded)  # rows per zero-padded FFT
 
     def kernel(part):
-        spectrum = np.abs(np.fft.fft(part, n=padded, axis=-1))
+        # The FFT stage runs step rows at a time through three buffers of
+        # this call; the rest of the kernel takes the whole block at once.
+        rows = min(step, len(part))
+        spectrum = np.empty((rows, padded), dtype=np.complex128)
+        magnitude, grouped = np.empty((2, rows, padded))
         # Peak magnitude within each offset's snap region; empty regions rank last.
         peaks = np.zeros((len(part), n))
-        peaks[:, regions] = np.maximum.reduceat(spectrum[:, order], starts, axis=-1)
+        for lo in range(0, len(part), rows):
+            k = min(rows, len(part) - lo)
+            np.fft.fft(part[lo : lo + k], n=padded, axis=-1, out=spectrum[:k])
+            np.abs(spectrum[:k], out=magnitude[:k])
+            np.take(magnitude[:k], order, axis=1, out=grouped[:k], mode="clip")  # order is in range
+            peaks[lo : lo + k, regions] = np.maximum.reduceat(grouped[:k], starts, axis=-1)
         best, margin = _pick(-peaks)
         c = _at(part @ conj_tones.T, best)
         return best, _demap_patterns(c / count, m), -_at(peaks, best), margin
 
-    return _blockwise(max(padded, n, m), kernel)
+    return _blockwise(max(n, m), kernel)
 
 
 def _oracle_rows(tones: np.ndarray, m: int):

@@ -348,6 +348,17 @@ def _sweep_point(scenario: Scenario, config: SystemConfig) -> _Point:
     return _Point(n, m, df_t, width, tones, frame, detect, phasor, symbol_energy)
 
 
+def _draw_bits(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` payload bits: element for element ``rng.integers(0, 2, size=count)``, from the same stream words.
+
+    Both forms take one 32-bit word per bit and keep its top bit: Lemire's
+    bounded draw at range 2 returns ``word >> 31``, and a float32 draw is
+    ``(word >> 8) * 2**-24``.  So both leave the generator in the same
+    state; this one skips `Generator.integers`' per-call overhead.
+    """
+    return rng.random(count, dtype=np.float32) >= 0.5
+
+
 def _count_chunk(scenario: Scenario, point: _Point, es_n0_db: float, start: int, stop: int, dump=None) -> tuple[list[int], float]:
     """Error counts (index, symbol, block, bit) and the margin sum over trials start..stop-1.
 
@@ -379,7 +390,7 @@ def _count_chunk(scenario: Scenario, point: _Point, es_n0_db: float, start: int,
         hi = min(lo + step, stop)
         for r, trial in enumerate(range(lo, hi)):
             # These bits were drawn as 0/1, so they need no map_index check.
-            value = _bits_to_int(rng.integers(0, 2, size=index_len + symbol_len).tolist())
+            value = _bits_to_int(_draw_bits(rng, index_len + symbol_len).tolist())
             index, pattern = value >> symbol_len, value & pattern_mask
             row = received_rows[r]
             if point.frame is not None:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fomlink.codec import DataBlock, constellation, demap_index, demap_symbol, map_symbol
+from fomlink.ofdm import OfdmFrame, frame_awgn
 from fomlink.phy import (
     BasebandSignal,
     ChannelSpec,
@@ -189,6 +190,67 @@ class TestAwgn:
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
         assert awgn(samples, math.inf, rng) is samples
+        assert rng.bit_generator.state == state
+
+
+def awgn_inputs(kind):
+    """(signal, its samples, symbol energy) for every input form the channel takes, one sample a signed zero."""
+    rng = np.random.default_rng(21)
+    values = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    values[3] = complex(-0.0, 0.0)
+    values[6] = complex(0.0, -0.0)
+    if kind == "complex":
+        return values[:64], values[:64], None
+    if kind == "strided":
+        view = values[::2]
+        return view, view, 8.0
+    if kind == "float":
+        real = values.real[:64].copy()
+        real[3], real[6] = -0.0, 0.0
+        return real, real, None
+    if kind == "record":
+        signal = BasebandSignal(samples=values[:64], sample_rate=64.0, duration=1.0)
+        return signal, signal.samples, None
+    frame = OfdmFrame(time_samples=values[:80], sample_rate=64.0)
+    return frame, frame.time_samples, 1.0
+
+
+AWGN_INPUTS = ("complex", "strided", "float", "record", "ofdm")
+
+
+class TestAwgnReference:
+    """`awgn` against its defining formula, byte for byte: the noise is two
+    successive standard_normal(count) draws, real parts first."""
+
+    @pytest.mark.parametrize("es_n0_db", [-3.0, 0.0, 10.0, 25.0])
+    @pytest.mark.parametrize("kind", AWGN_INPUTS)
+    def test_equals_the_formula(self, kind, es_n0_db):
+        signal, samples, symbol_energy = awgn_inputs(kind)
+        ours, reference = np.random.default_rng(5), np.random.default_rng(5)
+        if kind == "ofdm":
+            got = frame_awgn(signal, es_n0_db, ours).time_samples
+        else:
+            got = awgn(signal, es_n0_db, ours, symbol_energy)
+            got = got if isinstance(got, np.ndarray) else got.samples
+        count = len(samples)
+        energy = float(count) if symbol_energy is None else symbol_energy
+        scale = math.sqrt(energy * 10.0 ** (-es_n0_db / 10.0) / 2.0)
+        real = reference.standard_normal(count)
+        imag = reference.standard_normal(count)
+        want = samples + scale * (real + 1j * imag)
+        assert got.dtype == want.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("kind", AWGN_INPUTS)
+    def test_noiseless_returns_the_input_object(self, kind):
+        signal, _, symbol_energy = awgn_inputs(kind)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        if kind == "ofdm":
+            assert frame_awgn(signal, math.inf, rng) is signal
+        else:
+            assert awgn(signal, math.inf, rng, symbol_energy) is signal
         assert rng.bit_generator.state == state
 
 

@@ -16,6 +16,7 @@ from fomlink.scenario import (
     Scenario,
     ScenarioError,
     Sweep,
+    _draw_bits,
     run_monte_carlo,
     scenario_from_dict,
     scenario_from_json,
@@ -244,6 +245,23 @@ class TestWilson:
             wilson_interval(5, 0)
         with pytest.raises(ValueError):
             wilson_interval(7, 5)
+
+
+class TestBitDraw:
+    def test_draw_bits_is_integers_on_the_same_stream(self):
+        # The engine's payload bits must stay rng.integers(0, 2, size=k), bit
+        # for bit and stream word for stream word, with the noise's normals
+        # drawn in between; this fails if numpy changes either algorithm.
+        for seed in range(200):
+            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k in range(1, 13):
+                got, want = _draw_bits(ours, k), reference.integers(0, 2, size=k)
+                assert [int(b) for b in got] == want.tolist()
+                assert ours.bit_generator.state == reference.bit_generator.state
+                gap = (seed * 7 + k) % 6  # normals between two trials' bits, none included
+                ours.standard_normal(gap)
+                reference.standard_normal(gap)
+            assert ours.bit_generator.state == reference.bit_generator.state
 
 
 class TestMonteCarlo:
