@@ -21,6 +21,7 @@ continuously; the link modules themselves require powers of two.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
@@ -179,19 +180,8 @@ def _point(spec: GridSpec, m: float, n: float, eta: float) -> EfficiencyPoint:
 
 
 def grid_sweep(spec: GridSpec) -> list[EfficiencyPoint]:
-    """Evaluate the grid in deterministic order: m outer, the varied axis inner."""
-    points: list[EfficiencyPoint] = []
-    if spec.mode == "vary-m-n":
-        eta = spec.eta_values[0]
-        for m in spec.m_values:
-            for n in spec.n_values:
-                points.append(_point(spec, m, n, eta))
-    else:
-        n = spec.n_values[0]
-        for m in spec.m_values:
-            for eta in spec.eta_values:
-                points.append(_point(spec, m, n, eta))
-    return points
+    """Evaluate the grid in deterministic order: m outer, the varied axis inner (the other holds one value)."""
+    return [_point(spec, m, n, eta) for m, n, eta in itertools.product(spec.m_values, spec.n_values, spec.eta_values)]
 
 
 def _log_spaced(start: float, stop: float, count: int) -> tuple[float, ...]:

@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 
@@ -91,14 +92,7 @@ def _grid_from_args(args: argparse.Namespace) -> GridSpec:
             raise ScenarioError("presets fix --m/--n/--eta; drop the explicit axes")
         grid = preset_grid(chosen[0])
         if args.symbol_rate is not None or args.bandwidth is not None:
-            grid = GridSpec(
-                m_values=grid.m_values,
-                n_values=grid.n_values,
-                eta_values=grid.eta_values,
-                mode=grid.mode,
-                symbol_rate=args.symbol_rate,
-                bandwidth_hz=args.bandwidth,
-            )
+            grid = replace(grid, symbol_rate=args.symbol_rate, bandwidth_hz=args.bandwidth)
         return grid
     if not args.m:
         raise ScenarioError("efficiency needs --m (plus --n/--eta) or one preset flag")

@@ -115,6 +115,14 @@ def map_index(index_bits: Sequence[int]) -> int:
     return 1 + _bits_to_int(_bit_tuple(index_bits))
 
 
+def _block_value(block: DataBlock, n: int, m: int) -> tuple[int, int]:
+    """The 0-based transmitter index and the symbol pattern a block carries, its bit counts checked against n and m."""
+    for kind, bits, name, count in (("index", block.index_bits, "n", n), ("symbol", block.symbol_bits, "m", m)):
+        if len(bits) != (count - 1).bit_length():
+            raise ValueError(f"block has {len(bits)} {kind} bits, {name}={count} needs {(count - 1).bit_length()}")
+    return map_index(block.index_bits) - 1, _bits_to_int(_bit_tuple(block.symbol_bits))
+
+
 def demap_index(k: int, n: int) -> tuple[int, ...]:
     """Inverse of `map_index` for an array of n transmitters."""
     width = _log2_count(n, "n")

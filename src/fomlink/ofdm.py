@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import SUPPORTED_M, DataBlock, _bit_tuple, _bits_to_int, _demap_patterns, _is_power_of_two, constellation, map_index
+from .codec import SUPPORTED_M, DataBlock, _block_value, _demap_patterns, _is_power_of_two, constellation
 from .phy import DetectionResult, _at, _detection, _pick, awgn
 from .system import SystemConfig, _is_real
 
@@ -115,14 +115,8 @@ def _synthesize_frame(index: int, a: complex, cfg: OfdmConfig, out: np.ndarray) 
 
 def modulate_frame(block: DataBlock, cfg: OfdmConfig) -> OfdmFrame:
     """Orthonormal IDFT of the index-modulated bin vector, tail copied as prefix."""
-    n = cfg.n_subcarriers
-    if len(block.index_bits) != (n - 1).bit_length():
-        raise ValueError(f"block has {len(block.index_bits)} index bits, config with N={n} needs {(n - 1).bit_length()}")
-    width = (cfg.m - 1).bit_length()
-    if len(block.symbol_bits) != width:
-        raise ValueError(f"block has {len(block.symbol_bits)} symbol bits, m={cfg.m} needs {width}")
-    a = constellation(cfg.m)[_bits_to_int(_bit_tuple(block.symbol_bits))]
-    samples = _synthesize_frame(map_index(block.index_bits) - 1, a, cfg, np.empty(cfg.frame_len, dtype=np.complex128))
+    index, pattern = _block_value(block, cfg.n_subcarriers, cfg.m)
+    samples = _synthesize_frame(index, constellation(cfg.m)[pattern], cfg, np.empty(cfg.frame_len, dtype=np.complex128))
     return OfdmFrame(time_samples=samples, sample_rate=cfg.sample_rate)
 
 

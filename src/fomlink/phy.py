@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import DataBlock, _bit_tuple, _bits_to_int, _demap_patterns, _int_to_bits, constellation, map_index
+from .codec import DataBlock, _block_value, _demap_patterns, _int_to_bits, constellation
 from .system import SystemConfig, FrequencyPlan, MIN_SAMPLES_PER_SYMBOL
 
 __all__ = [
@@ -135,18 +135,11 @@ def _snap_regions(offsets: tuple[float, ...], padded: int, sample_rate: float) -
 
 def synthesize_block(block: DataBlock, plan: FrequencyPlan, config: SystemConfig) -> BasebandSignal:
     """Modulate one block onto the active transmitter's tone."""
-    n = plan.tx_count
-    if len(block.index_bits) != (n - 1).bit_length():
-        raise ValueError(f"block has {len(block.index_bits)} index bits, plan with n={n} needs {(n - 1).bit_length()}")
-    if len(block.symbol_bits) != config.symbol_bit_count:
-        raise ValueError(
-            f"block has {len(block.symbol_bits)} symbol bits, config with m={config.m} needs {config.symbol_bit_count}"
-        )
-    k = map_index(block.index_bits)
-    a = constellation(config.m)[_bits_to_int(_bit_tuple(block.symbol_bits))]
+    index, pattern = _block_value(block, plan.tx_count, config.m)
+    a = constellation(config.m)[pattern]
     fs = config.sample_rate
     # The active row alone: each entry is computed on its own, so it equals that row of the full table.
-    tone = np.conj(_conj_tones(plan.offsets[k - 1 : k], config.samples_per_symbol, fs)[0])
+    tone = np.conj(_conj_tones(plan.offsets[index : index + 1], config.samples_per_symbol, fs)[0])
     return BasebandSignal(samples=a * tone, sample_rate=fs, duration=1.0 / config.symbol_rate)
 
 
@@ -182,9 +175,11 @@ def awgn(
     samples, so the result is bit for bit
     ``samples + scale * (real + 1j * imag)``.
     """
+    samples = signal if isinstance(signal, np.ndarray) else signal.samples
+    if samples.ndim != 1:
+        raise ValueError(f"awgn takes one signal of shape (count,), got shape {samples.shape}")
     if es_n0_db == math.inf:
         return signal
-    samples = signal if isinstance(signal, np.ndarray) else signal.samples
     count = len(samples)
     if symbol_energy is None:
         symbol_energy = float(count)

@@ -83,11 +83,13 @@ class Sweep:
         if self.axis not in SWEEP_AXES:
             raise ScenarioError(f"sweep axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         if not self.values:
-            raise ScenarioError("sweep values must not be empty")
+            raise ScenarioError("sweep values must be a non-empty list")
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """One Monte-Carlo run, checked when it is built: an inconsistent one raises the ScenarioError that `simulate` prints."""
+
     system: SystemConfig
     channel: ChannelSpec
     detector: str
@@ -97,6 +99,9 @@ class Scenario:
     ofdm: OfdmConfig | None = None
     sweep: Sweep | None = None
     zero_pad_factor: int = 16
+
+    def __post_init__(self) -> None:
+        _cross_validate(self)
 
     def to_dict(self) -> dict:
         """The JSON form: a noiseless es_n0_db is null, a sweep is {axis: [values]}, unset records are left out."""
@@ -176,7 +181,7 @@ def _parse_sweep(data: dict) -> Sweep:
     axis, raw = next(iter(data.items()))
     if axis not in SWEEP_AXES:
         raise ScenarioError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-    if not isinstance(raw, list) or not raw:
+    if not isinstance(raw, list):
         raise ScenarioError("sweep values must be a non-empty list")
     if axis == "es_n0_db":
         values = tuple(_parse_es_n0(v) for v in raw)
@@ -212,12 +217,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"zero_pad_factor must be an integer >= 1, got {zero_pad!r}")
     ofdm = _parse_ofdm(data["ofdm"]) if data["ofdm"] is not None else None
     sweep = _parse_sweep(data["sweep"]) if data["sweep"] is not None else None
-    scenario = Scenario(**{**data, "system": system, "channel": channel, "ofdm": ofdm, "sweep": sweep})
-    _cross_validate(scenario)
-    # Not a field: it marks this record as checked, so run_monte_carlo
-    # validates each swept config once per call, not twice.
-    object.__setattr__(scenario, "_validated", True)
-    return scenario
+    return Scenario(**{**data, "system": system, "channel": channel, "ofdm": ofdm, "sweep": sweep})
 
 
 def scenario_from_json(text: str) -> Scenario:
@@ -236,7 +236,8 @@ def _cross_validate(scenario: Scenario) -> None:
             raise ScenarioError("df_t sweeps require fom mode (subcarrier spacing is fixed by the frame)")
     elif scenario.ofdm is not None:
         raise ScenarioError(f"an ofdm object needs mode 'ofdm', got mode {scenario.mode!r}")
-    for config in _swept_configs(scenario):
+    # A df_t sweep builds one config per point; an es_n0_db sweep shares the scenario's.
+    for config in {id(config): config for config, _ in _points(scenario)}.values():
         report = validate_config(config)
         if report.hard_errors:
             raise ScenarioError(
@@ -267,12 +268,14 @@ def _cross_validate(scenario: Scenario) -> None:
             )
 
 
-def _swept_configs(scenario: Scenario) -> list[SystemConfig]:
-    if scenario.sweep is not None and scenario.sweep.axis == "df_t":
-        return [
-            replace(scenario.system, delta_f_hz=df_t * scenario.system.symbol_rate) for df_t in scenario.sweep.values
-        ]
-    return [scenario.system]
+def _points(scenario: Scenario) -> list[tuple[SystemConfig, float]]:
+    """Each sweep point's system config and es_n0_db, in sweep order."""
+    system, es_n0_db, sweep = scenario.system, scenario.channel.es_n0_db, scenario.sweep
+    if sweep is None:
+        return [(system, es_n0_db)]
+    if sweep.axis == "df_t":
+        return [(replace(system, delta_f_hz=df_t * system.symbol_rate), es_n0_db) for df_t in sweep.values]
+    return [(system, value) for value in sweep.values]
 
 
 def validate_scenario_or_config(data: dict) -> ValidationReport:
@@ -431,17 +434,8 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] 
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    if not getattr(scenario, "_validated", False):
-        _cross_validate(scenario)
     rows: list[MetricsRow] = []
-    sweep_values = scenario.sweep.values if scenario.sweep is not None else (None,)
-    for point_idx, sweep_value in enumerate(sweep_values):
-        if scenario.sweep is not None and scenario.sweep.axis == "df_t":
-            config = replace(scenario.system, delta_f_hz=sweep_value * scenario.system.symbol_rate)
-            es_n0_db = scenario.channel.es_n0_db
-        else:
-            config = scenario.system
-            es_n0_db = sweep_value if sweep_value is not None else scenario.channel.es_n0_db
+    for point_idx, (config, es_n0_db) in enumerate(_points(scenario)):
         point = _sweep_point(scenario, config)
 
         dump = dump_signals if point_idx == 0 else None

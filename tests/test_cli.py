@@ -375,6 +375,65 @@ def _replace(data, path, value):
     return data
 
 
+def _over_four_trials(data):
+    """Edits the fuzz leaves out: more than 4 trials only makes a run slower."""
+    trials = data.get("trials") if isinstance(data, dict) else None
+    return isinstance(trials, int) and trials > 4
+
+
+def _both_commands(tmp_path, data):
+    """validate's exit code and stdout, then simulate's exit code, stderr and metrics CSV (None when it wrote none)."""
+    config, metrics = tmp_path / "scenario.json", tmp_path / "metrics.csv"
+    config.write_text(json.dumps(data))
+    metrics.unlink(missing_ok=True)
+    shown, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(shown):
+        validated = main(["validate", "--config", str(config)])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        simulated = main(["simulate", "--config", str(config), "--out", str(metrics)])
+    return validated, shown.getvalue(), simulated, err.getvalue(), metrics.read_text() if metrics.exists() else None
+
+
+def _check_accepted_run(data, csv, edit):
+    """One row per sweep point with the trials given and rates in [0, 1]; a clean noiseless integer df_t decodes exactly."""
+    sweep = data.get("sweep")
+    rows = [dict(zip(csv.splitlines()[2].split(","), line.split(","))) for line in csv.splitlines()[3:]]
+    assert len(rows) == (len(next(iter(sweep.values()))) if sweep else 1), edit
+    channel = data["channel"]
+    clean = not channel.get("phase_rotation", 0) and not channel.get("carrier_freq_error", 0)
+    for row in rows:
+        assert int(row["trials"]) == data["trials"], edit
+        rates = [float(row[f"{kind}_error_rate"]) for kind in ("index", "symbol", "block", "bit")]
+        assert all(0.0 <= rate <= 1.0 for rate in rates), edit
+        if clean and row["es_n0_db"] == "inf" and float(row["df_t"]).is_integer():
+            assert rates == [0.0] * 4, edit
+
+
+class TestSingleFieldEdits:
+    """Every single-field edit of both fuzz bases (29 key paths x 31 values x 2 bases), checked in one table."""
+
+    @pytest.mark.parametrize(
+        "base, path",
+        [(base, path) for base in _FUZZ_BASES for path in _FUZZ_PATHS],
+        ids=[f"{base.get('mode', 'fom')}-{'.'.join(path) or 'root'}" for base in _FUZZ_BASES for path in _FUZZ_PATHS],
+    )
+    def test_every_single_field_edit(self, tmp_path, base, path):
+        for value in _FUZZ_VALUES:
+            data = _replace(copy.deepcopy(base), path, value)
+            if _over_four_trials(data):
+                continue
+            edit = f"{'.'.join(path)} = {'<deleted>' if value is _DELETE else repr(value)}"
+            validated, shown, simulated, err, csv = _both_commands(tmp_path, data)
+            assert validated in (EXIT_OK, EXIT_INVALID), edit
+            assert simulated == validated, edit
+            if validated == EXIT_OK:
+                _check_accepted_run(data, csv, edit)
+            elif isinstance(data, dict) and "system" in data:
+                # Still a scenario: validate's first reason is the one simulate stops on.
+                first = next(line for line in shown.splitlines() if line.startswith("ERROR: "))
+                assert err == f"error: {first.removeprefix('ERROR: ')}\n", edit
+
+
 class TestFuzz:
     @settings(max_examples=150, deadline=None)
     @given(

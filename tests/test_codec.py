@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from fomlink.codec import (
     SUPPORTED_M,
     DataBlock,
+    _block_value,
+    _int_to_bits,
     constellation,
     deframe,
     demap_index,
@@ -115,6 +117,21 @@ class TestIndexMap:
                 bits = demap_index(k, n)
                 assert len(bits) == width
                 assert map_index(bits) == k
+
+    def test_block_value_is_the_index_and_the_pattern(self):
+        for n, m in ((1, 2), (8, 4), (4, 16)):
+            for k in range(1, n + 1):
+                for pattern in range(m):
+                    block = DataBlock(demap_index(k, n), _int_to_bits(pattern, (m - 1).bit_length()))
+                    assert _block_value(block, n, m) == (k - 1, pattern)
+
+    @pytest.mark.parametrize(
+        "index_bits, symbol_bits, needle",
+        [((0,), (0, 0), "1 index bits, n=8 needs 3"), ((0, 0, 0), (0, 0, 0), "3 symbol bits, m=4 needs 2")],
+    )
+    def test_block_value_checks_both_widths(self, index_bits, symbol_bits, needle):
+        with pytest.raises(ValueError, match=needle):
+            _block_value(DataBlock(index_bits, symbol_bits), 8, 4)
 
     def test_demap_range_check(self):
         with pytest.raises(ValueError):

@@ -90,6 +90,13 @@ class TestModulation:
         assert np.array_equal(frame.time_samples[:3], payload[-3:])
         assert np.array_equal(frame.time_samples[:3], frame.time_samples[-3:])
 
+    def test_rejects_mismatched_bit_widths(self):
+        cfg = OfdmConfig(n_subcarriers=8, spacing_hz=15e3, m=16)
+        with pytest.raises(ValueError, match="index bits"):
+            modulate_frame(DataBlock(index_bits=(0,), symbol_bits=(0,) * 4), cfg)
+        with pytest.raises(ValueError, match="symbol bits"):
+            modulate_frame(DataBlock(index_bits=(0, 0, 0), symbol_bits=(0,)), cfg)
+
     @pytest.mark.parametrize("index_bits, symbol_bits", [((0, 1, 0), (1, 2)), ((0, 1, 0), (-1, 0)), ((0, 2, 0), (1, 0))])
     def test_rejects_bits_other_than_zero_and_one(self, index_bits, symbol_bits):
         cfg = OfdmConfig(n_subcarriers=8, spacing_hz=15e3, m=4, cp_len=0, index_mode="single-active")

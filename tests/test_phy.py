@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -190,6 +191,16 @@ class TestAwgn:
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
         assert awgn(samples, math.inf, rng) is samples
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 4)])
+    @pytest.mark.parametrize("es_n0_db", [10.0, math.inf])
+    def test_rejects_a_block_of_signals(self, shape, es_n0_db):
+        # The noise fits one signal: a square block would get the same noise on every row.
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            awgn(np.zeros(shape, dtype=complex), es_n0_db, rng)
         assert rng.bit_generator.state == state
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fomlink.scenario import (
     ScenarioError,
     Sweep,
     _draw_bits,
+    _points,
     run_monte_carlo,
     scenario_from_dict,
     scenario_from_json,
@@ -134,6 +136,27 @@ class TestParsing:
     def test_malformed_json(self):
         with pytest.raises(ScenarioError, match="malformed JSON"):
             scenario_from_json("{not json")
+
+    @pytest.mark.parametrize("axis", ["es_n0_db", "df_t"])
+    def test_an_empty_sweep_has_one_message(self, axis):
+        with pytest.raises(ScenarioError) as parsed:
+            scenario_from_dict(scenario_dict(sweep={axis: []}))
+        with pytest.raises(ScenarioError) as built:
+            Sweep(axis, ())
+        assert str(parsed.value) == str(built.value) == "sweep values must be a non-empty list"
+
+    def test_a_replaced_scenario_is_checked_again(self):
+        s = scenario_from_dict(scenario_dict())
+        with pytest.raises(ScenarioError, match="ofdm mode supports only the joint-ml detector"):
+            replace(s, mode="ofdm", detector="oracle")
+
+    def test_each_point_gets_its_config_and_es_n0(self):
+        s = scenario_from_dict(scenario_dict(sweep={"es_n0_db": [0, 5, None]}))
+        assert [es_n0_db for _, es_n0_db in _points(s)] == [0.0, 5.0, math.inf]
+        assert all(config is s.system for config, _ in _points(s))
+        swept = scenario_from_dict(scenario_dict(sweep={"df_t": [0.5, 1.0]}))
+        assert [(config.delta_f_hz, es_n0_db) for config, es_n0_db in _points(swept)] == [(0.5, 10.0), (1.0, 10.0)]
+        assert _points(scenario_from_dict(scenario_dict())) == [(s.system, 10.0)]
 
     def test_swept_df_t_configs_are_validated(self):
         # 0.001 * symbol_rate shrinks the band so far that the sample budget
@@ -435,19 +458,18 @@ class TestMonteCarlo:
         data = scenario_dict(**overrides)
         with pytest.raises(ScenarioError) as parsed:
             scenario_from_dict(data)
-        # The same fields, built without scenario_from_dict's checks.
-        direct = Scenario(
-            system=SystemConfig.from_dict(data["system"]),
-            channel=ChannelSpec(es_n0_db=data["channel"]["es_n0_db"]),
-            detector=data["detector"],
-            trials=data["trials"],
-            seed=data["seed"],
-            mode=data.get("mode", "fom"),
-            sweep=Sweep("df_t", tuple(data["sweep"]["df_t"])) if "sweep" in data else None,
-            zero_pad_factor=data.get("zero_pad_factor", 16),
-        )
+        # The same fields, built without scenario_from_dict's checks: the record checks itself.
         with pytest.raises(ScenarioError) as ran:
-            run_monte_carlo(direct)
+            Scenario(
+                system=SystemConfig.from_dict(data["system"]),
+                channel=ChannelSpec(es_n0_db=data["channel"]["es_n0_db"]),
+                detector=data["detector"],
+                trials=data["trials"],
+                seed=data["seed"],
+                mode=data.get("mode", "fom"),
+                sweep=Sweep("df_t", tuple(data["sweep"]["df_t"])) if "sweep" in data else None,
+                zero_pad_factor=data.get("zero_pad_factor", 16),
+            )
         assert str(ran.value) == str(parsed.value)
 
     @pytest.mark.parametrize(
