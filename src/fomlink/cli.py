@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 from contextlib import nullcontext
@@ -125,17 +126,17 @@ def _load_json(path: str) -> dict:
 
 
 def _cmd_efficiency(args: argparse.Namespace) -> int:
-    grid = _grid_from_args(args)
+    # Rendered before --out is opened: a grid that fails its per-point checks leaves the file as it was.
+    text = io.StringIO()
+    run_efficiency_grid(_grid_from_args(args), text)
     with _open_out(args.out) as out:
-        run_efficiency_grid(grid, out)
+        out.write(text.getvalue())
     return EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     data = _load_json(args.config)
-    if args.seed is not None:
-        if not isinstance(data, dict):
-            raise ScenarioError("scenario must be a JSON object")
+    if args.seed is not None and isinstance(data, dict):
         data = {**data, "seed": args.seed}
     scenario = scenario_from_dict(data)
     if args.workers < 1:

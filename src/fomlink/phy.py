@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import DataBlock, _block_value, _demap_patterns, _int_to_bits, constellation
-from .system import SystemConfig, FrequencyPlan, MIN_SAMPLES_PER_SYMBOL
+from .system import SystemConfig, FrequencyPlan, MIN_SAMPLES_PER_SYMBOL, _is_real
 
 __all__ = [
     "BasebandSignal",
@@ -82,6 +82,7 @@ class ChannelSpec:
 
     es_n0_db may be math.inf for a noiseless channel.  phase_rotation is
     normalized into [0, 2*pi); carrier_freq_error is a baseband shift in Hz.
+    All three are checked when the spec is built and stored as floats.
     """
 
     es_n0_db: float
@@ -89,16 +90,26 @@ class ChannelSpec:
     carrier_freq_error: float = 0.0
 
     def __post_init__(self) -> None:
-        if math.isnan(self.es_n0_db) or self.es_n0_db == -math.inf:
-            raise ValueError(f"es_n0_db must be finite or +inf, got {self.es_n0_db!r}")
-        if not math.isfinite(self.phase_rotation):
-            raise ValueError("phase_rotation must be finite")
-        if not math.isfinite(self.carrier_freq_error):
-            raise ValueError("carrier_freq_error must be finite")
+        for name in ("phase_rotation", "carrier_freq_error"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        object.__setattr__(self, "es_n0_db", _checked_es_n0(self.es_n0_db))
         theta = math.fmod(self.phase_rotation, TWO_PI)
         if theta < 0.0:
             theta += TWO_PI
         object.__setattr__(self, "phase_rotation", theta)
+        object.__setattr__(self, "carrier_freq_error", float(self.carrier_freq_error))
+
+
+def _checked_es_n0(value, error: type[ValueError] = ValueError) -> float:
+    """``value`` as a float es_n0_db (+inf is noiseless); its noise power 10**(-es_n0_db/10) must be finite."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(10.0 ** (-float(value) / 10.0)):
+                return float(value)
+        except OverflowError:
+            pass
+    raise error(f"es_n0_db must be a number or null (noiseless) with finite noise power, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .phy import (
     DETECTORS,
     ChannelSpec,
     _cfo_phasor,
+    _checked_es_n0,
     _fom_link,
     awgn,
     detect_joint_ml,  # not called here: linkbench's tracing tests look it up in this namespace
@@ -44,7 +45,6 @@ from .system import (
     _checked_fields,
     _field_values,
     _frequency_plan,
-    _is_real,
     validate_config,
 )
 from .analytics import GridSpec, _fmt, grid_sweep, write_efficiency_csv
@@ -76,14 +76,23 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Sweep:
+    """One sweep axis and its points, checked when built and stored as a tuple of floats."""
+
     axis: str
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.axis not in SWEEP_AXES:
             raise ScenarioError(f"sweep axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        if not self.values:
+        if not isinstance(self.values, (list, tuple)) or not self.values:
             raise ScenarioError("sweep values must be a non-empty list")
+        if self.axis == "es_n0_db":
+            values = tuple(_checked_es_n0(v, ScenarioError) for v in self.values)
+        elif any(not isinstance(v, (int, float)) or isinstance(v, bool) or not v > 0 for v in self.values):
+            raise ScenarioError("df_t sweep values must be positive numbers")
+        else:
+            values = tuple(float(v) for v in self.values)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -101,6 +110,16 @@ class Scenario:
     zero_pad_factor: int = 16
 
     def __post_init__(self) -> None:
+        if self.detector not in DETECTORS:
+            raise ScenarioError(f"detector must be one of {DETECTORS}, got {self.detector!r}")
+        if self.mode not in MODES:
+            raise ScenarioError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
+            raise ScenarioError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
+            raise ScenarioError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        if not isinstance(self.zero_pad_factor, int) or isinstance(self.zero_pad_factor, bool) or self.zero_pad_factor < 1:
+            raise ScenarioError(f"zero_pad_factor must be an integer >= 1, got {self.zero_pad_factor!r}")
         _cross_validate(self)
 
     def to_dict(self) -> dict:
@@ -117,6 +136,10 @@ class Scenario:
 
 def _null_if_inf(es_n0_db: float) -> float | None:
     return None if es_n0_db == math.inf else es_n0_db
+
+
+def _inf_if_null(es_n0_db):
+    return math.inf if es_n0_db is None else es_n0_db
 
 
 @dataclass(frozen=True)
@@ -139,30 +162,10 @@ class MetricsRow:
 METRICS_HEADER = ",".join(f.name for f in fields(MetricsRow))
 
 
-def _parse_es_n0(value) -> float:
-    """null is noiseless; a number must leave the noise power 10**(-es_n0_db/10) finite."""
-    if value is None:
-        return math.inf
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(10.0 ** (-float(value) / 10.0)):
-                return float(value)
-        except OverflowError:
-            pass
-    raise ScenarioError(f"es_n0_db must be a number or null (noiseless) with finite noise power, got {value!r}")
-
-
 def _parse_channel(data) -> ChannelSpec:
     values = _checked_fields(ChannelSpec, data, "channel", ScenarioError)
-    for name in ("phase_rotation", "carrier_freq_error"):
-        if not _is_real(values[name]):
-            raise ScenarioError(f"bad channel spec: {name} must be a finite number, got {values[name]!r}")
     try:
-        return ChannelSpec(
-            es_n0_db=_parse_es_n0(values["es_n0_db"]),
-            phase_rotation=float(values["phase_rotation"]),
-            carrier_freq_error=float(values["carrier_freq_error"]),
-        )
+        return ChannelSpec(**{**values, "es_n0_db": _inf_if_null(values["es_n0_db"])})
     except ValueError as exc:
         raise ScenarioError(f"bad channel spec: {exc}") from exc
 
@@ -175,46 +178,27 @@ def _parse_ofdm(data) -> OfdmConfig:
         raise ScenarioError(f"bad ofdm spec: {exc}") from exc
 
 
-def _parse_sweep(data: dict) -> Sweep:
+def _parse_sweep(data) -> Sweep:
     if not isinstance(data, dict) or len(data) != 1:
         raise ScenarioError('sweep must be an object with exactly one axis, e.g. {"es_n0_db": [0, 5, 10]}')
-    axis, raw = next(iter(data.items()))
-    if axis not in SWEEP_AXES:
-        raise ScenarioError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-    if not isinstance(raw, list):
-        raise ScenarioError("sweep values must be a non-empty list")
-    if axis == "es_n0_db":
-        values = tuple(_parse_es_n0(v) for v in raw)
-    else:
-        if any(not isinstance(v, (int, float)) or isinstance(v, bool) or not v > 0 for v in raw):
-            raise ScenarioError("df_t sweep values must be positive numbers")
-        values = tuple(float(v) for v in raw)
-    return Sweep(axis=axis, values=values)
+    axis, values = next(iter(data.items()))
+    if axis == "es_n0_db" and isinstance(values, list):
+        values = [_inf_if_null(v) for v in values]
+    return Sweep(axis, values)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Parse and cross-validate a scenario object.  Unknown keys are errors."""
+    """Map a parsed JSON scenario onto its records, which check their own fields.
+
+    Parsing adds only the schema (unknown or missing keys, objects where records
+    go), null meaning noiseless, and the ``bad channel spec:``/``bad ofdm spec:`` prefixes.
+    """
     data = _checked_fields(Scenario, data, "scenario", ScenarioError)
     try:
         system = SystemConfig.from_dict(data["system"])
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     channel = _parse_channel(data["channel"])
-    detector = data["detector"]
-    if detector not in DETECTORS:
-        raise ScenarioError(f"detector must be one of {DETECTORS}, got {detector!r}")
-    mode = data["mode"]
-    if mode not in MODES:
-        raise ScenarioError(f"mode must be one of {MODES}, got {mode!r}")
-    trials = data["trials"]
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ScenarioError(f"trials must be an integer >= 1, got {trials!r}")
-    seed = data["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ScenarioError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    zero_pad = data["zero_pad_factor"]
-    if not isinstance(zero_pad, int) or isinstance(zero_pad, bool) or zero_pad < 1:
-        raise ScenarioError(f"zero_pad_factor must be an integer >= 1, got {zero_pad!r}")
     ofdm = _parse_ofdm(data["ofdm"]) if data["ofdm"] is not None else None
     sweep = _parse_sweep(data["sweep"]) if data["sweep"] is not None else None
     return Scenario(**{**data, "system": system, "channel": channel, "ofdm": ofdm, "sweep": sweep})

@@ -90,6 +90,13 @@ class TestEfficiency:
         assert main(["efficiency", "--m", "notanumber"]) == EXIT_INVALID
         assert "--m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axes", [["--m", "1"], ["--m", "4", "--eta", "-1"]])
+    def test_a_rejected_grid_leaves_the_out_file_as_it_was(self, tmp_path, axes):
+        out = tmp_path / "grid.csv"
+        out.write_text("an earlier grid\n")
+        assert main(["efficiency", *axes, "--out", str(out)]) == EXIT_INVALID
+        assert out.read_bytes() == b"an earlier grid\n"
+
 
 class TestSimulate:
     def test_end_to_end(self, tmp_path, capsys):
@@ -108,6 +115,15 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(out_a)]) == EXIT_OK
         assert main(["simulate", "--config", str(config), "--out", str(out_b), "--workers", "4"]) == EXIT_OK
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_seed_override_of_a_non_object_reports_the_schema_error(self, tmp_path, capsys):
+        config = tmp_path / "scenario.json"
+        config.write_text("[1]")
+        errors = []
+        for seed in ([], ["--seed", "3"]):
+            assert main(["simulate", "--config", str(config), *seed]) == EXIT_INVALID
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == "error: scenario must be a JSON object, got list\n"
 
     def test_seed_override_changes_output(self, tmp_path):
         config = scenario_file(tmp_path, trials=300, channel={"es_n0_db": 0.0})

@@ -129,10 +129,16 @@ class TestChannelSpec:
         assert ChannelSpec(es_n0_db=math.inf).es_n0_db == math.inf
 
     def test_rejects_nan_and_negative_infinity(self):
-        with pytest.raises(ValueError):
-            ChannelSpec(es_n0_db=math.nan)
-        with pytest.raises(ValueError):
-            ChannelSpec(es_n0_db=-math.inf)
+        for spec in (
+            {"es_n0_db": math.nan},
+            {"es_n0_db": -math.inf},
+            {"es_n0_db": -1e308},  # finite, but its noise power 10**30.8 overflows
+            {"es_n0_db": True},
+            {"es_n0_db": "1"},
+            {"es_n0_db": 10.0, "phase_rotation": math.nan},
+        ):
+            with pytest.raises(ValueError):
+                ChannelSpec(**spec)
 
 
 class TestAwgn:

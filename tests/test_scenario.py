@@ -452,6 +452,16 @@ class TestMonteCarlo:
             {"mode": "ofdm", "detector": "two-stage"},
             {"sweep": {"df_t": [1.0, 1e6]}},
             {"detector": "two-stage", "zero_pad_factor": 10**6},
+            {"trials": 0},
+            {"trials": 2.5},
+            {"trials": True},
+            {"seed": -1},
+            {"seed": 2**64},
+            {"mode": "otfs"},
+            {"detector": "viterbi"},
+            {"zero_pad_factor": 0},
+            {"sweep": {"es_n0_db": [-1e308]}},
+            {"sweep": {"df_t": [0.5, -1.0]}},
         ],
     )
     def test_runner_validates_a_scenario_built_directly(self, overrides):
@@ -467,7 +477,7 @@ class TestMonteCarlo:
                 trials=data["trials"],
                 seed=data["seed"],
                 mode=data.get("mode", "fom"),
-                sweep=Sweep("df_t", tuple(data["sweep"]["df_t"])) if "sweep" in data else None,
+                sweep=Sweep(*next(iter(data["sweep"].items()))) if "sweep" in data else None,
                 zero_pad_factor=data.get("zero_pad_factor", 16),
             )
         assert str(ran.value) == str(parsed.value)
@@ -509,6 +519,13 @@ class TestOutputs:
         # The embedded scenario is valid JSON and round-trips.
         embedded = json.loads(lines[1].removeprefix("# scenario: "))
         assert scenario_from_dict(embedded) == s
+
+    def test_int_channel_values_write_the_parsed_csv(self):
+        data = scenario_dict(trials=16, channel={"es_n0_db": 10, "phase_rotation": 0, "carrier_freq_error": 0})
+        parsed = scenario_from_dict(data)
+        built = Scenario(SystemConfig.from_dict(data["system"]), ChannelSpec(10, 0, 0), "joint-ml", trials=16, seed=42)
+        assert built == parsed
+        assert render_csv(built, run_monte_carlo(built)) == render_csv(parsed, run_monte_carlo(parsed))
 
     def test_signal_dump(self, tmp_path):
         s = scenario_from_dict(scenario_dict(trials=16, channel={"es_n0_db": None}))
