@@ -17,12 +17,13 @@ energy-weighted average of the active bins.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import SUPPORTED_M, DataBlock, _block_value, _demap_patterns, _is_power_of_two, constellation
-from .phy import DetectionResult, _at, _detection, _pick, awgn
+from .phy import _BLOCK_SAMPLES, DetectionResult, _at, _detection, _Link, _pick, awgn
 from .system import SystemConfig, _is_real
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 INDEX_MODES = ("single-active", "single-silent")
+_SYMBOL_ENERGY = 1.0  # `awgn`'s calibration per unit-energy subcarrier symbol; see `frame_awgn`
 
 
 @dataclass(frozen=True)
@@ -96,12 +98,13 @@ def fom_to_ofdm_params(config: SystemConfig, index_mode: str = "single-active", 
     )
 
 
-def _synthesize_frame(index: int, a: complex, cfg: OfdmConfig, out: np.ndarray) -> np.ndarray:
-    """Write into ``out`` the frame with QAM point ``a`` and subcarrier ``index`` (0-based) active or silent.
+def _synthesize_frame(cfg: OfdmConfig, table: np.ndarray, index: int, pattern: int, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the frame with QAM point ``table[pattern]`` and subcarrier ``index`` (0-based) active or silent.
 
     The payload is the orthonormal IDFT of the bin vector; its tail is
     copied in front as the cyclic prefix.
     """
+    a = table[pattern]
     if cfg.index_mode == "single-active":
         bins = np.zeros(cfg.n_subcarriers, dtype=np.complex128)
         bins[index] = a
@@ -116,7 +119,7 @@ def _synthesize_frame(index: int, a: complex, cfg: OfdmConfig, out: np.ndarray) 
 def modulate_frame(block: DataBlock, cfg: OfdmConfig) -> OfdmFrame:
     """Orthonormal IDFT of the index-modulated bin vector, tail copied as prefix."""
     index, pattern = _block_value(block, cfg.n_subcarriers, cfg.m)
-    samples = _synthesize_frame(index, constellation(cfg.m)[pattern], cfg, np.empty(cfg.frame_len, dtype=np.complex128))
+    samples = _synthesize_frame(cfg, constellation(cfg.m), index, pattern, np.empty(cfg.frame_len, dtype=np.complex128))
     return OfdmFrame(time_samples=samples, sample_rate=cfg.sample_rate)
 
 
@@ -161,4 +164,11 @@ def frame_awgn(frame: OfdmFrame, es_n0_db: float, rng_seed: int | np.random.Gene
     bins of the same variance, so sigma^2 = 10**(-es_n0_db/10) gives each
     unit-energy bin symbol exactly the requested SNR.  +inf is noiseless.
     """
-    return awgn(frame, es_n0_db, rng_seed, symbol_energy=1.0)
+    return awgn(frame, es_n0_db, rng_seed, symbol_energy=_SYMBOL_ENERGY)
+
+
+def _ofdm_link(cfg: OfdmConfig) -> _Link:
+    """The link of one sweep point: frame synthesis, the FFT demodulator and `frame_awgn`'s calibration."""
+    transmit = functools.partial(_synthesize_frame, cfg, constellation(cfg.m))
+    detect = functools.partial(_demodulate_rows, cfg=cfg)
+    return _Link(cfg.frame_len, cfg.sample_rate, transmit, detect, max(1, _BLOCK_SAMPLES // cfg.frame_len), _SYMBOL_ENERGY)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -216,21 +217,6 @@ def apply_carrier_freq_error(signal: BasebandSignal, delta_hz: float) -> Baseban
     return _with_samples(signal, signal.samples * phasor)
 
 
-def _blockwise(per_row: int, kernel):
-    """A batch kernel that runs ``kernel(part)`` over blocks of rows and joins
-    the results: each block holds at most _BLOCK_SAMPLES // per_row rows (at
-    least one), where per_row is the kernel's largest temporary per row."""
-    step = max(1, _BLOCK_SAMPLES // per_row)
-
-    def detect(rows: np.ndarray):
-        if len(rows) <= step:
-            return kernel(rows)
-        parts = [kernel(rows[lo : lo + step]) for lo in range(0, len(rows), step)]
-        return tuple(np.concatenate(column) for column in zip(*parts))
-
-    return detect
-
-
 def matched_filter_bank(signal: BasebandSignal, plan: FrequencyPlan) -> np.ndarray:
     """Correlations c_k of the signal against every plan tone (length n).
 
@@ -285,7 +271,7 @@ def _joint_ml_rows(conj_tones: np.ndarray, m: int):
         best, margin = _pick(metrics)
         return best, _at(patterns, best), _at(metrics, best), margin
 
-    return _blockwise(len(conj_tones) * m, kernel)
+    return kernel, len(conj_tones) * m
 
 
 def _noncoherent_rows(conj_tones: np.ndarray, m: int):
@@ -298,7 +284,7 @@ def _noncoherent_rows(conj_tones: np.ndarray, m: int):
         best, margin = _pick(ranking)
         return best, _demap_patterns(_at(c, best) / count, m), _at(ranking, best), margin
 
-    return _blockwise(max(n, m), kernel)
+    return kernel, max(n, m)
 
 
 def _two_stage_rows(conj_tones: np.ndarray, m: int, snap_regions: tuple[np.ndarray, ...]):
@@ -326,7 +312,7 @@ def _two_stage_rows(conj_tones: np.ndarray, m: int, snap_regions: tuple[np.ndarr
         c = _at(part @ conj_tones.T, best)
         return best, _demap_patterns(c / count, m), -_at(peaks, best), margin
 
-    return _blockwise(max(n, m), kernel)
+    return kernel, max(n, m)
 
 
 def _oracle_rows(tones: np.ndarray, m: int):
@@ -348,39 +334,59 @@ def _oracle_rows(tones: np.ndarray, m: int):
         best, margin = _pick(per_offset)
         return best, _at(patterns, best), _at(per_offset, best), margin
 
-    return _blockwise(n, kernel)
+    return kernel, n
 
 
 DETECTORS = ("joint-ml", "noncoherent", "two-stage", "oracle")
 
 
-def _fom_link(detector: str, plan: FrequencyPlan, m: int, count: int, sample_rate: float, zero_pad_factor: int = 16):
-    """The tone rows of one sweep point and the batch kernel of its detector
-    (one of DETECTORS), every table of the point built here, once.
+@dataclass(frozen=True)
+class _Link:
+    """One sweep point's transmitter and receiver, every table built once:
+    ``transmit(index, pattern, row)`` writes a trial's ``width`` samples into
+    ``row``; ``detect`` maps a (T, width) block of rows to (best, pattern,
+    metric, margin) per row, best 0-based, its temporaries within
+    _BLOCK_SAMPLES samples for T <= ``rows``; ``symbol_energy`` is `awgn`'s."""
 
-    The kernel maps a (T, count) block of received rows to (best, pattern,
-    metric, margin) per row, best 0-based; the public detectors call it with
-    one row.
-    """
+    width: int
+    sample_rate: float
+    transmit: Callable[[int, int, np.ndarray], None]
+    detect: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+    rows: int
+    symbol_energy: float | None
+
+
+def _fom_link(detector: str, plan: FrequencyPlan, m: int, count: int, sample_rate: float, zero_pad_factor: int = 16) -> _Link:
+    """The link of one sweep point: tone synthesis and ``detector``'s (one of DETECTORS)
+    batch kernel, whose builder also returns its largest temporary per row in
+    samples, by which ``rows`` is sized.  The public detectors call the kernel with one row."""
     conj_tones = _conj_tones(plan.offsets, count, sample_rate)
     tones = np.conj(conj_tones)
     if detector == "joint-ml":
-        return tones, _joint_ml_rows(conj_tones, m)
-    if detector == "noncoherent":
-        return tones, _noncoherent_rows(conj_tones, m)
-    if detector == "two-stage":
-        return tones, _two_stage_rows(conj_tones, m, _snap_regions(plan.offsets, zero_pad_factor * count, sample_rate))
-    if detector == "oracle":
-        return tones, _oracle_rows(tones, m)
-    raise ValueError(f"unknown detector {detector!r}")
+        detect, per_row = _joint_ml_rows(conj_tones, m)
+    elif detector == "noncoherent":
+        detect, per_row = _noncoherent_rows(conj_tones, m)
+    elif detector == "two-stage":
+        detect, per_row = _two_stage_rows(conj_tones, m, _snap_regions(plan.offsets, zero_pad_factor * count, sample_rate))
+    elif detector == "oracle":
+        detect, per_row = _oracle_rows(tones, m)
+    else:
+        raise ValueError(f"unknown detector {detector!r}")
+    table = constellation(m)
+
+    def transmit(index: int, pattern: int, row: np.ndarray) -> None:
+        # a * tone in synthesize_block's operand order: swapped, the product rounds differently.
+        np.multiply(table[pattern], tones[index], out=row)
+
+    return _Link(count, sample_rate, transmit, detect, max(1, _BLOCK_SAMPLES // max(count, per_row)), None)
 
 
 def _decide(
     detector: str, signal: BasebandSignal, plan: FrequencyPlan, m: int, zero_pad_factor: int = 16
 ) -> DetectionResult:
     """One block's decision by ``detector``'s batch kernel, its tables built for this call."""
-    _, detect = _fom_link(detector, plan, m, len(signal), signal.sample_rate, zero_pad_factor)
-    return _detection(detect(signal.samples[None]), m)
+    link = _fom_link(detector, plan, m, len(signal), signal.sample_rate, zero_pad_factor)
+    return _detection(link.detect(signal.samples[None]), m)
 
 
 def detect_joint_ml(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> DetectionResult:

@@ -16,19 +16,17 @@ same (scenario, seed) always produces a byte-identical metrics CSV.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import astuple, dataclass, fields, replace
-from typing import IO, Callable, Iterable
+from typing import IO, Iterable
 
 import numpy as np
 
 from ._version import __version__
-from .codec import _bits_to_int, _int_to_bits, constellation
-from .ofdm import OfdmConfig, _demodulate_rows, _synthesize_frame, fom_to_ofdm_params
+from .codec import _bits_to_int, _int_to_bits
+from .ofdm import OfdmConfig, _ofdm_link, fom_to_ofdm_params
 from .phy import (
-    _BLOCK_SAMPLES,
     DETECTORS,
     ChannelSpec,
     _cfo_phasor,
@@ -45,6 +43,7 @@ from .system import (
     _checked_fields,
     _field_values,
     _frequency_plan,
+    _is_real,
     validate_config,
 )
 from .analytics import GridSpec, _fmt, grid_sweep, write_efficiency_csv
@@ -88,7 +87,7 @@ class Sweep:
             raise ScenarioError("sweep values must be a non-empty list")
         if self.axis == "es_n0_db":
             values = tuple(_checked_es_n0(v, ScenarioError) for v in self.values)
-        elif any(not isinstance(v, (int, float)) or isinstance(v, bool) or not v > 0 for v in self.values):
+        elif any(not _is_real(v) or not v > 0 for v in self.values):
             raise ScenarioError("df_t sweep values must be positive numbers")
         else:
             values = tuple(float(v) for v in self.values)
@@ -120,6 +119,10 @@ class Scenario:
             raise ScenarioError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if not isinstance(self.zero_pad_factor, int) or isinstance(self.zero_pad_factor, bool) or self.zero_pad_factor < 1:
             raise ScenarioError(f"zero_pad_factor must be an integer >= 1, got {self.zero_pad_factor!r}")
+        for name, record in (("system", SystemConfig), ("channel", ChannelSpec), ("ofdm", OfdmConfig), ("sweep", Sweep)):
+            value, optional = getattr(self, name), name in ("ofdm", "sweep")
+            if not (isinstance(value, record) or optional and value is None):
+                raise ScenarioError(f"{name} must be {record.__name__}{' or None' if optional else ''}, got {type(value).__name__}")
         _cross_validate(self)
 
     def to_dict(self) -> dict:
@@ -303,36 +306,16 @@ def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> t
     return lo, hi
 
 
-@dataclass(frozen=True)
-class _Point:
-    """One sweep point as the engine runs it, every table built once; dropped when the point is done."""
-
-    n: int
-    m: int
-    df_t: float
-    width: int  # samples per trial
-    tones: np.ndarray | None  # fom: the tone rows that synthesis scales
-    frame: OfdmConfig | None  # ofdm: the frame that synthesis fills
-    detect: Callable  # batch kernel: (rows, width) block -> (best, pattern, metric, margin)
-    phasor: np.ndarray | None  # the carrier frequency error's, when there is one
-    symbol_energy: float | None  # frame_awgn's calibration, or awgn's default (the sample count)
-
-
-def _sweep_point(scenario: Scenario, config: SystemConfig) -> _Point:
-    """The point that runs ``config`` (a swept copy of the scenario's system), its tables built."""
+def _sweep_point(scenario: Scenario, config: SystemConfig):
+    """The link that runs ``config`` (a swept copy of the scenario's system),
+    its tables built, and the carrier frequency error's phasor (None without one)."""
     if scenario.mode == "fom":
-        width, sample_rate = config.samples_per_symbol, config.sample_rate
         plan = _frequency_plan(config)
-        tones, detect = _fom_link(scenario.detector, plan, config.m, width, sample_rate, scenario.zero_pad_factor)
-        n, m, df_t, frame, symbol_energy = config.n, config.m, config.delta_f_hz / config.symbol_rate, None, None
+        link = _fom_link(scenario.detector, plan, config.m, config.samples_per_symbol, config.sample_rate, scenario.zero_pad_factor)
     else:
-        frame = scenario.ofdm or fom_to_ofdm_params(scenario.system)
-        width, sample_rate = frame.frame_len, frame.sample_rate
-        detect = functools.partial(_demodulate_rows, cfg=frame)  # the FFT needs no table
-        n, m, df_t, tones, symbol_energy = frame.n_subcarriers, frame.m, 1.0, None, 1.0
+        link = _ofdm_link(scenario.ofdm or fom_to_ofdm_params(config))
     delta_hz = scenario.channel.carrier_freq_error
-    phasor = _cfo_phasor(delta_hz, width, sample_rate) if delta_hz else None
-    return _Point(n, m, df_t, width, tones, frame, detect, phasor, symbol_energy)
+    return link, _cfo_phasor(delta_hz, link.width, link.sample_rate) if delta_hz else None
 
 
 def _draw_bits(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -346,30 +329,30 @@ def _draw_bits(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.random(count, dtype=np.float32) >= 0.5
 
 
-def _count_chunk(scenario: Scenario, point: _Point, es_n0_db: float, start: int, stop: int, dump=None) -> tuple[list[int], float]:
+def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: int, dump=None) -> tuple[list[int], float]:
     """Error counts (index, symbol, block, bit) and the margin sum over trials start..stop-1.
 
     The span is one whole chunk, or the last one; its trials draw in order
-    from the chunk's stream, each its payload bits and then its noise.  The
-    transmitter and channel run per trial, on bare samples, and write each
-    received block into a row of a (rows, samples) block of at most
-    phy._BLOCK_SAMPLES samples; each block of rows is detected as one batch.
+    from the chunk's stream, each its payload bits and then its noise.
+    ``point`` is `_sweep_point`'s (link, phasor).  The link's transmitter and
+    the channel run per trial on bare samples, each trial filling a row of a
+    block of ``link.rows`` rows, which the link then detects as one batch.
     Every row is bit for bit what the public chain (`synthesize_block` or
     `modulate_frame`, `apply_phase_rotation`, `apply_carrier_freq_error`,
     `awgn` or `frame_awgn`) computes for the same draws.
     """
+    link, phasor = point
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, start // _CHUNK]))
-    theta, width, phasor = scenario.channel.phase_rotation, point.width, point.phasor
-    index_len, symbol_len = (point.n - 1).bit_length(), (point.m - 1).bit_length()
-    table = constellation(point.m)
+    theta = scenario.channel.phase_rotation
+    index_len, symbol_len = scenario.system.index_bit_count, scenario.system.symbol_bit_count
     rotation = np.exp(1j * theta)
     pattern_mask = (1 << symbol_len) - 1
-    # Equal blocks of at most _BLOCK_SAMPLES samples (128 frames of 80 samples
-    # make 43+43+42 rows, not 51+51+26): temporaries of one size reuse each
+    # Equal blocks of at most link.rows rows (128 frames of 80 samples make
+    # 43+43+42 rows, not 51+51+26): temporaries of one size reuse each
     # other's heap memory, which measurably leaves fewer free holes behind.
-    blocks = -(-(stop - start) // max(1, _BLOCK_SAMPLES // width))
+    blocks = -(-(stop - start) // link.rows)
     step = -(-(stop - start) // blocks)
-    received_rows = np.empty((step, width), dtype=np.complex128)
+    received_rows = np.empty((step, link.width), dtype=np.complex128)
     truth = np.empty((2, step), dtype=np.int64)  # index and pattern drawn by each trial
     counts = [0, 0, 0, 0]
     margin_sum = 0.0
@@ -380,20 +363,16 @@ def _count_chunk(scenario: Scenario, point: _Point, es_n0_db: float, start: int,
             value = _bits_to_int(_draw_bits(rng, index_len + symbol_len).tolist())
             index, pattern = value >> symbol_len, value & pattern_mask
             row = received_rows[r]
-            if point.frame is not None:
-                _synthesize_frame(index, table[pattern], point.frame, row)
-            else:
-                # a * tone in synthesize_block's operand order: swapped, the product rounds differently.
-                np.multiply(table[pattern], point.tones[index], out=row)
+            link.transmit(index, pattern, row)
             if theta:
                 row *= rotation
             if phasor is not None:
                 row *= phasor
-            row[...] = awgn(row, es_n0_db, rng, point.symbol_energy)
+            row[...] = awgn(row, es_n0_db, rng, link.symbol_energy)
             truth[0, r], truth[1, r] = index, pattern
             if dump is not None and trial < _DUMP_BLOCKS:
                 _dump_block(dump, trial, _int_to_bits(index, index_len), _int_to_bits(pattern, symbol_len), row)
-        best, pattern_hat, _, margins = point.detect(received_rows[: hi - lo])
+        best, pattern_hat, _, margins = link.detect(received_rows[: hi - lo])
         index_true, pattern_true = truth[:, : hi - lo]
         index_err, pattern_err = best != index_true, pattern_hat != pattern_true
         counts[0] += int(np.count_nonzero(index_err))
@@ -421,7 +400,6 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] 
     rows: list[MetricsRow] = []
     for point_idx, (config, es_n0_db) in enumerate(_points(scenario)):
         point = _sweep_point(scenario, config)
-
         dump = dump_signals if point_idx == 0 else None
         if dump is not None:
             dump.write(f"# fomlink {__version__} signal dump (first sweep point)\n")
@@ -435,15 +413,15 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] 
             )
             counts += chunk_counts
             margin_sum += chunk_margin
-        bits_per_block = (point.n - 1).bit_length() + (point.m - 1).bit_length()
+        bits_per_block = config.index_bit_count + config.symbol_bit_count
         rows.append(
             MetricsRow(
                 mode=scenario.mode,
                 detector=scenario.detector,
-                n=point.n,
-                m=point.m,
+                n=config.n,
+                m=config.m,
                 es_n0_db=es_n0_db,
-                df_t=point.df_t,
+                df_t=config.delta_f_hz / config.symbol_rate,
                 trials=scenario.trials,
                 index_error_rate=int(counts[0]) / scenario.trials,
                 symbol_error_rate=int(counts[1]) / scenario.trials,

@@ -60,8 +60,7 @@ def random_block(rng, n, m):
 
 def batch_rows(detector, rows, plan, m, sample_rate, zero_pad_factor=16):
     """The detector's batch kernel over every row, its tables built for this call."""
-    _, detect = _fom_link(detector, plan, m, rows.shape[-1], sample_rate, zero_pad_factor)
-    return detect(rows)
+    return _fom_link(detector, plan, m, rows.shape[-1], sample_rate, zero_pad_factor).detect(rows)
 
 
 def as_results(kernel_result, m):
@@ -202,7 +201,7 @@ class TestBlockMemoryBound:
                 for _ in range(_BLOCK_SAMPLES // config.samples_per_symbol)
             ]
         )
-        _, oracle = _fom_link("oracle", plan, m, config.samples_per_symbol, config.sample_rate)
+        oracle = _fom_link("oracle", plan, m, config.samples_per_symbol, config.sample_rate).detect
         oracle(rows[:1])
         tracemalloc.start()
         try:
@@ -230,13 +229,13 @@ def engine_rows(scenario, monkeypatch):
     captured = []
 
     def recording_point(scenario, config):
-        point = _sweep_point(scenario, config)
+        link, phasor = _sweep_point(scenario, config)
 
         def record(rows):
             captured.append(rows.copy())  # the engine reuses its block buffer
-            return point.detect(rows)
+            return link.detect(rows)
 
-        return replace(point, detect=record)
+        return replace(link, detect=record), phasor
 
     monkeypatch.setattr(fomlink.scenario, "_sweep_point", recording_point)
     run_monte_carlo(scenario)
@@ -276,6 +275,9 @@ class TestEngineRowsMatchPublicChain:
             (8, 4, "joint-ml", _CHUNK + 76, 5.0),  # two chunks, two streams
             (8, 4, "two-stage", 100, None),
             (1, 16, "joint-ml", 200, 8.0),  # no index bits
+            (8, 4, "noncoherent", 150, 5.0),
+            (8, 4, "oracle", 100, 5.0),
+            (16, 64, "joint-ml", 300, 10.0),  # n * m slicing terms per row exceed S: blocks of 4 rows
         ],
     )
     def test_fom(self, n, m, detector, trials, es_n0_db, monkeypatch):

@@ -297,6 +297,7 @@ class TestInputBoundary:
             ({}, {"mode": "ofdm", "ofdm": {"n_subcarriers": 8, "spacing_hz": 1.0, "m": 4, "cp_len": True}}, "cp_len"),
             ({}, {"channel": {"es_n0_db": 10.0, "phase_rotation": "1"}}, "phase_rotation"),
             ({}, {"channel": {"es_n0_db": 10.0, "carrier_freq_error": True}}, "carrier_freq_error"),
+            ({}, {"sweep": {"df_t": [10**400]}}, "df_t sweep values must be positive numbers"),
         ],
         ids=[
             "m-8",
@@ -320,6 +321,7 @@ class TestInputBoundary:
             "cp_len-true",
             "phase_rotation-string",
             "carrier_freq_error-true",
+            "df_t-beyond-float-range",
         ],
     )
     def test_both_commands_exit_invalid(self, tmp_path, capsys, system, overrides, needle):

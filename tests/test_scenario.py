@@ -483,6 +483,21 @@ class TestMonteCarlo:
         assert str(ran.value) == str(parsed.value)
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("channel", None, "channel must be ChannelSpec, got NoneType"),
+            ("sweep", {"df_t": [1.0]}, "sweep must be Sweep or None, got dict"),
+            ("system", scenario_dict()["system"], "system must be SystemConfig, got dict"),
+        ],
+        ids=["channel-None", "sweep-dict", "system-dict"],
+    )
+    def test_runner_rejects_fields_that_are_not_records(self, field, value, message):
+        # The parser always builds records; a scenario built in code may not.
+        scenario = scenario_from_dict(scenario_dict())
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            replace(scenario, **{field: value})
+
+    @pytest.mark.parametrize(
         "overrides, points",
         [({}, 1), ({"sweep": {"df_t": [0.25, 0.5, 1.0]}}, 3), ({"mode": "ofdm"}, 1), ({"detector": "noncoherent"}, 1)],
     )
