@@ -136,13 +136,12 @@ def _cfo_phasor(delta_hz: float, count: int, sample_rate: float) -> np.ndarray:
     return np.exp(2j * math.pi * delta_hz * t / sample_rate)
 
 
-def _snap_regions(offsets: tuple[float, ...], padded: int, sample_rate: float) -> tuple[np.ndarray, ...]:
-    """FFT bins grouped by snapped offset: region regions[i] of spectrum[order] starts at starts[i]."""
+def _snap_regions(offsets: tuple[float, ...], padded: int, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """FFT bins in bin-order runs that snap to one offset: run i starts at bin starts[i] and snaps to offset regions[i]."""
     freqs = np.fft.fftfreq(padded, d=1.0 / sample_rate)
     nearest = np.abs(freqs[:, None] - np.asarray(offsets)[None, :]).argmin(axis=1)
-    order = np.argsort(nearest, kind="stable")
-    regions, starts = np.unique(nearest[order], return_index=True)
-    return order, starts, regions
+    starts = np.flatnonzero(np.diff(nearest, prepend=-1))
+    return starts, nearest[starts]
 
 
 def synthesize_block(block: DataBlock, plan: FrequencyPlan, config: SystemConfig) -> BasebandSignal:
@@ -287,27 +286,27 @@ def _noncoherent_rows(conj_tones: np.ndarray, m: int):
     return kernel, max(n, m)
 
 
-def _two_stage_rows(conj_tones: np.ndarray, m: int, snap_regions: tuple[np.ndarray, ...]):
-    """Batch kernel of `detect_two_stage` over the zero-padded FFT bins that `_snap_regions` grouped."""
+def _two_stage_rows(conj_tones: np.ndarray, m: int, offsets: tuple[float, ...], zero_pad_factor: int, sample_rate: float):
+    """Batch kernel of `detect_two_stage` over the zero-padded FFT bins that `_snap_regions` groups."""
     n, count = conj_tones.shape
-    order, starts, regions = snap_regions
-    padded = len(order)
+    padded = zero_pad_factor * count
+    starts, regions = _snap_regions(offsets, padded, sample_rate)
     step = max(1, _BLOCK_SAMPLES // padded)  # rows per zero-padded FFT
 
     def kernel(part):
-        # The FFT stage runs step rows at a time through three buffers of
+        # The FFT stage runs step rows at a time through two buffers of
         # this call; the rest of the kernel takes the whole block at once.
         rows = min(step, len(part))
         spectrum = np.empty((rows, padded), dtype=np.complex128)
-        magnitude, grouped = np.empty((2, rows, padded))
-        # Peak magnitude within each offset's snap region; empty regions rank last.
+        magnitude = np.empty((rows, padded))
+        # Peak magnitude over each offset's runs (offset 0 owns two); offsets that own no bin rank last.
         peaks = np.zeros((len(part), n))
         for lo in range(0, len(part), rows):
             k = min(rows, len(part) - lo)
             np.fft.fft(part[lo : lo + k], n=padded, axis=-1, out=spectrum[:k])
             np.abs(spectrum[:k], out=magnitude[:k])
-            np.take(magnitude[:k], order, axis=1, out=grouped[:k], mode="clip")  # order is in range
-            peaks[lo : lo + k, regions] = np.maximum.reduceat(grouped[:k], starts, axis=-1)
+            runs = np.maximum.reduceat(magnitude[:k], starts, axis=-1)
+            np.maximum.at(peaks[lo : lo + k], (slice(None), regions), runs)
         best, margin = _pick(-peaks)
         c = _at(part @ conj_tones.T, best)
         return best, _demap_patterns(c / count, m), -_at(peaks, best), margin
@@ -316,21 +315,20 @@ def _two_stage_rows(conj_tones: np.ndarray, m: int, snap_regions: tuple[np.ndarr
 
 
 def _oracle_rows(tones: np.ndarray, m: int):
-    """Batch kernel of `brute_force_oracle`: distances over blocks of trials x candidates."""
+    """Batch kernel of `brute_force_oracle`: one offset's m candidates at a time, over blocks of trials."""
     n, count = tones.shape
     table = constellation(m)
-    step = max(1, _BLOCK_SAMPLES // (m * count))  # offsets per candidate block
+    group = max(1, _BLOCK_SAMPLES // (m * count))  # trials per block of distances
 
     def kernel(part):
         per_offset = np.empty((len(part), n))
         patterns = np.empty((len(part), n), dtype=np.intp)
-        for lo in range(0, n, step):
-            candidates = table[:, None] * tones[lo : lo + step, None, :]  # (offsets, m, S)
-            group = max(1, _BLOCK_SAMPLES // candidates.size)  # trials per block of distances
+        for k in range(n):
+            candidates = table[:, None] * tones[k]  # (m, S)
             for t in range(0, len(part), group):
-                totals = (np.abs(part[t : t + group, None, None, :] - candidates) ** 2).sum(axis=-1)
-                per_offset[t : t + group, lo : lo + step] = totals.min(axis=-1)
-                patterns[t : t + group, lo : lo + step] = totals.argmin(axis=-1)
+                totals = (np.abs(part[t : t + group, None, :] - candidates) ** 2).sum(axis=-1)
+                per_offset[t : t + group, k] = totals.min(axis=-1)
+                patterns[t : t + group, k] = totals.argmin(axis=-1)
         best, margin = _pick(per_offset)
         return best, _at(patterns, best), _at(per_offset, best), margin
 
@@ -367,7 +365,7 @@ def _fom_link(detector: str, plan: FrequencyPlan, m: int, count: int, sample_rat
     elif detector == "noncoherent":
         detect, per_row = _noncoherent_rows(conj_tones, m)
     elif detector == "two-stage":
-        detect, per_row = _two_stage_rows(conj_tones, m, _snap_regions(plan.offsets, zero_pad_factor * count, sample_rate))
+        detect, per_row = _two_stage_rows(conj_tones, m, plan.offsets, zero_pad_factor, sample_rate)
     elif detector == "oracle":
         detect, per_row = _oracle_rows(tones, m)
     else:

@@ -36,8 +36,7 @@ from .phy import (
     detect_joint_ml,  # not called here: linkbench's tracing tests look it up in this namespace
 )
 from .system import (
-    MAX_ORACLE_BLOCK_SAMPLES,
-    MAX_SNAP_TABLE_ENTRIES,
+    MAX_TABLE_ENTRIES,
     SystemConfig,
     ValidationReport,
     _checked_fields,
@@ -223,6 +222,7 @@ def _cross_validate(scenario: Scenario) -> None:
             raise ScenarioError("df_t sweeps require fom mode (subcarrier spacing is fixed by the frame)")
     elif scenario.ofdm is not None:
         raise ScenarioError(f"an ofdm object needs mode 'ofdm', got mode {scenario.mode!r}")
+    spans = []  # samples per row and sample rate of each point, over which the CFO phasor runs
     # A df_t sweep builds one config per point; an es_n0_db sweep shares the scenario's.
     for config in {id(config): config for config, _ in _points(scenario)}.values():
         report = validate_config(config)
@@ -231,17 +231,18 @@ def _cross_validate(scenario: Scenario) -> None:
                 f"invalid system config (delta_f_hz={config.delta_f_hz!r}): " + "; ".join(report.hard_errors)
             )
         samples = config.samples_per_symbol
-        if scenario.detector == "two-stage" and scenario.zero_pad_factor * config.n * samples > MAX_SNAP_TABLE_ENTRIES:
+        if scenario.detector == "two-stage" and scenario.zero_pad_factor * config.n * samples > MAX_TABLE_ENTRIES:
             raise ScenarioError(
                 f"zero_pad_factor * n * samples per symbol = {scenario.zero_pad_factor * config.n * samples} "
-                f"(delta_f_hz={config.delta_f_hz!r}) exceeds {MAX_SNAP_TABLE_ENTRIES}, "
+                f"(delta_f_hz={config.delta_f_hz!r}) exceeds {MAX_TABLE_ENTRIES}, "
                 "the largest two-stage snap table simulated (lower zero_pad_factor)"
             )
-        if scenario.detector == "oracle" and config.m * samples > MAX_ORACLE_BLOCK_SAMPLES:
+        if scenario.detector == "oracle" and config.m * samples > MAX_TABLE_ENTRIES:
             raise ScenarioError(
                 f"m * samples per symbol = {config.m * samples} (delta_f_hz={config.delta_f_hz!r}) "
-                f"exceeds {MAX_ORACLE_BLOCK_SAMPLES}, the largest oracle block simulated"
+                f"exceeds {MAX_TABLE_ENTRIES}, the largest oracle block simulated"
             )
+        spans.append((samples, config.sample_rate))
     if scenario.mode == "ofdm":
         given = scenario.ofdm
         try:
@@ -253,6 +254,11 @@ def _cross_validate(scenario: Scenario) -> None:
                 f"ofdm object contradicts system, whose OFDM twin has n_subcarriers={frame.n_subcarriers}, "
                 f"spacing_hz={frame.spacing_hz!r} and m={frame.m}"
             )
+        spans = [(frame.frame_len, frame.sample_rate)]
+    delta_hz = scenario.channel.carrier_freq_error
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phasor is an input error, not a warning
+        if delta_hz and not all(np.isfinite(_cfo_phasor(delta_hz, *span)).all() for span in spans):
+            raise ScenarioError(f"carrier_freq_error = {delta_hz!r} Hz overflows its phasor within one symbol interval")
 
 
 def _points(scenario: Scenario) -> list[tuple[SystemConfig, float]]:
@@ -350,19 +356,20 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
     # Equal blocks of at most link.rows rows (128 frames of 80 samples make
     # 43+43+42 rows, not 51+51+26): temporaries of one size reuse each
     # other's heap memory, which measurably leaves fewer free holes behind.
-    blocks = -(-(stop - start) // link.rows)
-    step = -(-(stop - start) // blocks)
+    size = stop - start
+    blocks = -(-size // link.rows)
+    step = -(-size // blocks)
     received_rows = np.empty((step, link.width), dtype=np.complex128)
-    truth = np.empty((2, step), dtype=np.int64)  # index and pattern drawn by each trial
-    counts = [0, 0, 0, 0]
-    margin_sum = 0.0
-    for lo in range(start, stop, step):
-        hi = min(lo + step, stop)
-        for r, trial in enumerate(range(lo, hi)):
+    # Every trial's drawn (truth) and decided index and pattern, and its margin: counted after the last block.
+    truth, decided = np.empty((2, 2, size), dtype=np.int64)
+    margins = np.empty(size)
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        for r in range(lo, hi):
             # These bits were drawn as 0/1, so they need no map_index check.
             value = _bits_to_int(_draw_bits(rng, index_len + symbol_len).tolist())
             index, pattern = value >> symbol_len, value & pattern_mask
-            row = received_rows[r]
+            row = received_rows[r - lo]
             link.transmit(index, pattern, row)
             if theta:
                 row *= rotation
@@ -370,18 +377,14 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
                 row *= phasor
             row[...] = awgn(row, es_n0_db, rng, link.symbol_energy)
             truth[0, r], truth[1, r] = index, pattern
-            if dump is not None and trial < _DUMP_BLOCKS:
-                _dump_block(dump, trial, _int_to_bits(index, index_len), _int_to_bits(pattern, symbol_len), row)
-        best, pattern_hat, _, margins = link.detect(received_rows[: hi - lo])
-        index_true, pattern_true = truth[:, : hi - lo]
-        index_err, pattern_err = best != index_true, pattern_hat != pattern_true
-        counts[0] += int(np.count_nonzero(index_err))
-        counts[1] += int(np.count_nonzero(pattern_err))
-        counts[2] += int(np.count_nonzero(index_err | pattern_err))
-        counts[3] += int(np.bitwise_count(best ^ index_true).sum() + np.bitwise_count(pattern_hat ^ pattern_true).sum())
-        # Added one trial after another, as a running float sum, so the mean rounds as it always has.
-        margin_sum = float(np.cumsum(np.concatenate(([margin_sum], margins)))[-1])
-    return counts, margin_sum
+            if dump is not None and start + r < _DUMP_BLOCKS:
+                _dump_block(dump, start + r, _int_to_bits(index, index_len), _int_to_bits(pattern, symbol_len), row)
+        decided[0, lo:hi], decided[1, lo:hi], _, margins[lo:hi] = link.detect(received_rows[: hi - lo])
+    index_err, pattern_err = decided != truth
+    counts = [int(np.count_nonzero(e)) for e in (index_err, pattern_err, index_err | pattern_err)]
+    counts.append(int(np.bitwise_count(decided ^ truth).sum()))
+    # Added one trial after another, as a running float sum, so the mean rounds as it always has.
+    return counts, float(np.cumsum(margins)[-1])
 
 
 def run_monte_carlo(scenario: Scenario, workers: int = 1, dump_signals: IO[str] | None = None) -> list[MetricsRow]:

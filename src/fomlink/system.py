@@ -34,19 +34,16 @@ __all__ = [
 OFFSET_TO_CARRIER_WARN = 1e-3
 EXPANSION_TO_BAND_WARN = 0.5
 MIN_SAMPLES_PER_SYMBOL = 8
-# Caps on the arrays the detectors build, so that what validates can be
-# allocated.  Each is 4M entries (64 MiB of complex128), far above the
-# largest use in the tests, demos and benchmark (in brackets).
-# n * samples per symbol, the matched-filter table [747,648: 128 x 256 at 20 MHz].
-MAX_FILTER_BANK_SAMPLES = 1 << 22
-# n * m, joint-ml's slicing table and the oracle's distance table [32,768].
-MAX_SLICE_TABLE_ENTRIES = 1 << 22
-# zero_pad_factor * n * samples per symbol: two-stage maps each of its
-# zero_pad_factor * samples-per-symbol FFT bins to the nearest of n offsets [8,192].
-MAX_SNAP_TABLE_ENTRIES = 1 << 22
-# m * samples per symbol, the oracle's candidate waveforms for one offset
-# [262,144, in a test that calls the oracle directly].
-MAX_ORACLE_BLOCK_SAMPLES = 1 << 22
+# The cap on every table the detectors build, so that what validates can be
+# allocated: 4M entries (64 MiB of complex128), far above the largest use in
+# the tests, demos and benchmark (in brackets).  The tables are
+# - n * samples per symbol, the matched-filter table [747,648: 128 x 256 at 20 MHz];
+# - n * m, joint-ml's slicing table and the oracle's distance table [32,768];
+# - zero_pad_factor * n * samples per symbol: two-stage maps each of its
+#   zero_pad_factor * samples-per-symbol FFT bins to the nearest of n offsets [8,192];
+# - m * samples per symbol, the oracle's candidate waveforms for one offset
+#   [262,144, in a test that calls the oracle directly].
+MAX_TABLE_ENTRIES = 1 << 22
 
 
 def _checked_fields(cls, data, what: str, error: type[ValueError] = ValueError) -> dict:
@@ -185,7 +182,7 @@ def validate_config(config: SystemConfig) -> ValidationReport:
     are not finite numbers, nonpositive bandwidth / symbol rate / offset /
     carrier, oversample below 2, or a sample count per symbol interval that
     overflows, falls below MIN_SAMPLES_PER_SYMBOL, or times n exceeds
-    MAX_FILTER_BANK_SAMPLES, and n * m above MAX_SLICE_TABLE_ENTRIES.  Soft
+    MAX_TABLE_ENTRIES, and an n * m above MAX_TABLE_ENTRIES.  Soft
     warnings flag parameter sets that are simulatable but strain the design
     approximations: offsets that are not small next to the carrier
     (delta_f / carrier > 1e-3) or a bandwidth expansion that is not small
@@ -193,9 +190,9 @@ def validate_config(config: SystemConfig) -> ValidationReport:
     """
     report = ValidationReport()
     counts_ok = _check_counts(config, report)
-    if counts_ok and config.n * config.m > MAX_SLICE_TABLE_ENTRIES:
+    if counts_ok and config.n * config.m > MAX_TABLE_ENTRIES:
         report.hard_errors.append(
-            f"n * m = {config.n * config.m} exceeds {MAX_SLICE_TABLE_ENTRIES}, the largest slicing table simulated"
+            f"n * m = {config.n * config.m} exceeds {MAX_TABLE_ENTRIES}, the largest slicing table simulated"
         )
 
     scalars_ok = True
@@ -214,7 +211,8 @@ def validate_config(config: SystemConfig) -> ValidationReport:
         report.hard_errors.append(f"oversample must be a finite number >= 2, got {config.oversample!r}")
         scalars_ok = False
 
-    if counts_ok and scalars_ok:
+    # An n beyond the float range, over the n * m cap already, has no sample rate.
+    if counts_ok and scalars_ok and _is_real(config.n):
         spb = config.sample_rate * (1.0 / config.symbol_rate)  # samples_per_symbol before rounding
         if not math.isfinite(spb):
             report.hard_errors.append(
@@ -226,9 +224,9 @@ def validate_config(config: SystemConfig) -> ValidationReport:
                 f"only {round(spb)} samples per symbol at sample rate {config.sample_rate:g} Hz; "
                 f"need at least {MIN_SAMPLES_PER_SYMBOL} (raise oversample or bandwidth)"
             )
-        elif config.n * round(spb) > MAX_FILTER_BANK_SAMPLES:
+        elif config.n * round(spb) > MAX_TABLE_ENTRIES:
             report.hard_errors.append(
-                f"n * samples per symbol = {config.n * round(spb)} exceeds {MAX_FILTER_BANK_SAMPLES}, "
+                f"n * samples per symbol = {config.n * round(spb)} exceeds {MAX_TABLE_ENTRIES}, "
                 "the largest matched-filter table simulated (lower n, oversample or bandwidth)"
             )
         if config.n > 1:

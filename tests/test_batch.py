@@ -88,7 +88,7 @@ class TestBatchMatchesPublicDetectors:
         trials=st.sampled_from([1, 2, 37]),
         n=st.sampled_from([1, 2, 8, 16]),
         m=st.sampled_from([2, 4, 16, 64]),
-        df_t=st.sampled_from([0.1, 0.25, 1.0]),
+        df_t=st.sampled_from([1e-300, 0.1, 0.25, 1.0]),
         es_n0_db=st.floats(-5.0, 30.0),
         zero_rows=st.integers(0, 2),
         seed=st.integers(0, 2**32 - 1),

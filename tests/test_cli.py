@@ -256,6 +256,12 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == EXIT_INVALID
         assert "ERROR:" in capsys.readouterr().out
 
+    def test_bare_config_with_n_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**scenario_data()["system"], "n": 2**1024}))
+        assert main(["validate", "--config", str(path)]) == EXIT_INVALID
+        assert "ERROR: n * m = " in capsys.readouterr().out
+
     def test_full_scenario_validates(self, tmp_path, capsys):
         # The toy link trades a wide expansion for unit rates; that is a
         # warning, not an error.
@@ -298,6 +304,9 @@ class TestInputBoundary:
             ({}, {"channel": {"es_n0_db": 10.0, "phase_rotation": "1"}}, "phase_rotation"),
             ({}, {"channel": {"es_n0_db": 10.0, "carrier_freq_error": True}}, "carrier_freq_error"),
             ({}, {"sweep": {"df_t": [10**400]}}, "df_t sweep values must be positive numbers"),
+            ({"n": 2**1024}, {}, "n * m"),
+            ({}, {"channel": {"es_n0_db": 10.0, "carrier_freq_error": 1e308}}, "carrier_freq_error"),
+            ({}, {"mode": "ofdm", "channel": {"es_n0_db": 10.0, "carrier_freq_error": 1e308}}, "carrier_freq_error"),
         ],
         ids=[
             "m-8",
@@ -322,6 +331,9 @@ class TestInputBoundary:
             "phase_rotation-string",
             "carrier_freq_error-true",
             "df_t-beyond-float-range",
+            "n-beyond-float-range",
+            "carrier_freq_error-phasor-overflow",
+            "ofdm-carrier_freq_error-phasor-overflow",
         ],
     )
     def test_both_commands_exit_invalid(self, tmp_path, capsys, system, overrides, needle):
@@ -357,7 +369,7 @@ _DELETE = object()
 # Wrong JSON types, booleans, numeric strings, null, zero, negatives, values
 # that overflow, and values at the size and prefix bounds.
 _FUZZ_VALUES = (
-    _DELETE, None, True, False, 0, -1, -2.5, 0.5, 1, 3, 9, 4096, 2**18, 1e-7, 1e400, -1e400, 2**70, 10**400,
+    _DELETE, None, True, False, 0, -1, -2.5, 0.5, 1, 3, 9, 4096, 2**18, 1e-7, 1e308, 1e400, -1e400, 2**70, 2**1024, 10**400,
     5000000000000, "1", "x", "ofdm", "oracle", "two-stage", "single-silent", [], [1], {},
     {"df_t": [1.0, 64.0]}, {"es_n0_db": [None, 0]}, {"n_subcarriers": 8, "spacing_hz": 1.0, "m": 4},
 )
@@ -428,7 +440,7 @@ def _check_accepted_run(data, csv, edit):
 
 
 class TestSingleFieldEdits:
-    """Every single-field edit of both fuzz bases (29 key paths x 31 values x 2 bases), checked in one table."""
+    """Every single-field edit of both fuzz bases (29 key paths x 33 values x 2 bases), checked in one table."""
 
     @pytest.mark.parametrize(
         "base, path",
