@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
+from .system import MAX_TABLE_ENTRIES
+
 __all__ = [
     "EfficiencyPoint",
     "GridSpec",
@@ -43,16 +45,25 @@ __all__ = [
 CSV_HEADER = "m,n,eta,gamma_ee,gamma_se,e0,es"
 
 
+def _check_m(m: float) -> None:
+    if not 1 < m < math.inf:
+        raise ValueError(f"m must be finite and exceed 1, got {m!r}")
+
+
 def _check_mn(m: float, n: float) -> None:
-    if not m > 1:
-        raise ValueError(f"m must exceed 1, got {m!r}")
-    if not n >= 1:
-        raise ValueError(f"n must be at least 1, got {n!r}")
+    _check_m(m)
+    if not 1 <= n < math.inf:
+        raise ValueError(f"n must be finite and at least 1, got {n!r}")
 
 
 def _check_eta(value: float) -> None:
-    if not value >= 0:
-        raise ValueError(f"eta must be nonnegative, got {value!r}")
+    if not 0 <= value < math.inf:
+        raise ValueError(f"eta must be finite and nonnegative, got {value!r}")
+
+
+def _check_rates(symbol_rate: float, bandwidth_hz: float) -> None:
+    if not (0 < symbol_rate < math.inf and 0 < bandwidth_hz < math.inf):
+        raise ValueError("symbol_rate and bandwidth_hz must be finite and positive")
 
 
 def _index_term(m: float, n: float) -> float:
@@ -72,10 +83,8 @@ def energy_efficiency_ratio(m: float, n: float) -> float:
 
 def symbol_spectral_efficiency(symbol_rate: float, m: float, bandwidth_hz: float) -> float:
     """Baseline bits/s/Hz: R * log2(m) / B."""
-    if not symbol_rate > 0 or not bandwidth_hz > 0:
-        raise ValueError("symbol_rate and bandwidth_hz must be positive")
-    if not m > 1:
-        raise ValueError(f"m must exceed 1, got {m!r}")
+    _check_rates(symbol_rate, bandwidth_hz)
+    _check_m(m)
     return symbol_rate * math.log2(m) / bandwidth_hz
 
 
@@ -83,10 +92,9 @@ def fom_spectral_efficiency(
     symbol_rate: float, m: float, n: float, bandwidth_hz: float, delta_b_hz: float
 ) -> float:
     """FOM bits/s/Hz: R * (log2(m) + log2(n)) / (B + delta_b)."""
-    if not symbol_rate > 0 or not bandwidth_hz > 0:
-        raise ValueError("symbol_rate and bandwidth_hz must be positive")
-    if delta_b_hz < 0:
-        raise ValueError(f"delta_b_hz must be nonnegative, got {delta_b_hz!r}")
+    _check_rates(symbol_rate, bandwidth_hz)
+    if not 0 <= delta_b_hz < math.inf:
+        raise ValueError(f"delta_b_hz must be finite and nonnegative, got {delta_b_hz!r}")
     _check_mn(m, n)
     return symbol_rate * (math.log2(m) + math.log2(n)) / (bandwidth_hz + delta_b_hz)
 
@@ -100,8 +108,7 @@ def spectral_efficiency_ratio(m: float, n: float, eta: float) -> float:
 
 def min_tx_count(m: float, eta: float) -> float:
     """Smallest array size with spectral_efficiency_ratio >= 1: m ** eta."""
-    if not m > 1:
-        raise ValueError(f"m must exceed 1, got {m!r}")
+    _check_m(m)
     _check_eta(eta)
     return m**eta
 
@@ -139,7 +146,8 @@ class GridSpec:
     eta_values; mode "vary-m-eta" sweeps m (outer) against eta (inner) at
     the single n in n_values.  symbol_rate and bandwidth_hz are optional;
     when given, absolute spectral efficiencies e0/es are emitted as well,
-    with delta_b taken as eta * bandwidth_hz.
+    with delta_b taken as eta * bandwidth_hz.  The grid may hold at most
+    system.MAX_TABLE_ENTRIES points.
     """
 
     m_values: tuple[float, ...]
@@ -161,6 +169,9 @@ class GridSpec:
             raise ValueError("vary-m-eta grids need exactly one n value")
         if (self.symbol_rate is None) != (self.bandwidth_hz is None):
             raise ValueError("symbol_rate and bandwidth_hz must be supplied together")
+        size = len(self.m_values) * len(self.n_values) * len(self.eta_values)
+        if size > MAX_TABLE_ENTRIES:
+            raise ValueError(f"an m x n x eta grid of {size} points exceeds {MAX_TABLE_ENTRIES}, the largest grid swept")
 
 
 def _point(spec: GridSpec, m: float, n: float, eta: float) -> EfficiencyPoint:

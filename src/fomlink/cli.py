@@ -14,6 +14,7 @@ import argparse
 import functools
 import io
 import json
+import math
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -30,6 +31,7 @@ from .scenario import (
     validate_scenario_or_config,
     write_metrics_csv,
 )
+from .system import MAX_TABLE_ENTRIES
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -37,15 +39,17 @@ EXIT_IO = 2
 
 
 def _parse_axis(text: str, name: str) -> tuple[float, ...]:
-    """One value, a comma list, or a linear range start:stop:steps."""
+    """One value, a comma list, or a linear range start:stop:steps of at most MAX_TABLE_ENTRIES steps."""
     try:
         if ":" in text:
             parts = text.split(":")
             if len(parts) != 3:
                 raise ValueError("ranges are start:stop:steps")
             start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
-            if steps < 1:
-                raise ValueError("steps must be >= 1")
+            if not 1 <= steps <= MAX_TABLE_ENTRIES:  # before linspace allocates them
+                raise ValueError(f"steps must be at least 1 and at most {MAX_TABLE_ENTRIES}")
+            if not math.isfinite(stop - start):  # inf, nan, or a span that overflows linspace
+                raise ValueError("the range must have finite ends and a finite span")
             return tuple(float(v) for v in np.linspace(start, stop, steps))
         if "," in text:
             return tuple(float(v) for v in text.split(","))

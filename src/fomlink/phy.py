@@ -52,9 +52,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-# The most complex samples any batch temporary holds (64 KiB): a block of
-# received rows, of zero-padded FFT rows, of oracle candidates or of slicing
-# distances.  A single row that needs more is taken alone.
+# The most complex samples a batch temporary holds (64 KiB): received rows or slicing
+# distances; two-stage's zero-padded FFT rows and the oracle's distances take twice
+# that, which ran them faster.  A single row that needs more is taken alone.
 _BLOCK_SAMPLES = 1 << 12
 
 
@@ -291,7 +291,7 @@ def _two_stage_rows(conj_tones: np.ndarray, m: int, offsets: tuple[float, ...], 
     n, count = conj_tones.shape
     padded = zero_pad_factor * count
     starts, regions = _snap_regions(offsets, padded, sample_rate)
-    step = max(1, _BLOCK_SAMPLES // padded)  # rows per zero-padded FFT
+    step = max(1, 2 * _BLOCK_SAMPLES // padded)  # rows per zero-padded FFT
 
     def kernel(part):
         # The FFT stage runs step rows at a time through two buffers of
@@ -318,7 +318,7 @@ def _oracle_rows(tones: np.ndarray, m: int):
     """Batch kernel of `brute_force_oracle`: one offset's m candidates at a time, over blocks of trials."""
     n, count = tones.shape
     table = constellation(m)
-    group = max(1, _BLOCK_SAMPLES // (m * count))  # trials per block of distances
+    group = max(1, 2 * _BLOCK_SAMPLES // (m * count))  # trials per block of distances
 
     def kernel(part):
         per_offset = np.empty((len(part), n))
@@ -343,8 +343,8 @@ class _Link:
     """One sweep point's transmitter and receiver, every table built once:
     ``transmit(index, pattern, row)`` writes a trial's ``width`` samples into
     ``row``; ``detect`` maps a (T, width) block of rows to (best, pattern,
-    metric, margin) per row, best 0-based, its temporaries within
-    _BLOCK_SAMPLES samples for T <= ``rows``; ``symbol_energy`` is `awgn`'s."""
+    metric, margin) per row, best 0-based, each of its temporaries within
+    2 * _BLOCK_SAMPLES samples for T <= ``rows``; ``symbol_energy`` is `awgn`'s."""
 
     width: int
     sample_rate: float

@@ -8,23 +8,24 @@ rescales the occupied band and eta for that point.
 
 Reproducibility contract: the trials of a sweep point run in chunks of
 ``_CHUNK``; chunk ``c`` draws from ``default_rng(SeedSequence([seed, c]))``,
-trial after trial, each trial taking its payload bits and then its noise.
-Distinct seeds therefore give independent streams, every sweep point sees
-the same draws, and aggregation is plain counting in fixed chunk order.  The
-same (scenario, seed) always produces a byte-identical metrics CSV.
+trial after trial, each trial taking its payload bits (one float32 draw into
+a buffer the chunk reuses) and then its noise.  Distinct seeds therefore
+give independent streams, every sweep point sees the same draws, and
+aggregation is plain counting in fixed chunk order.  The same (scenario,
+seed) always produces a byte-identical metrics CSV.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import IO, Iterable
 
 import numpy as np
 
 from ._version import __version__
-from .codec import _bits_to_int, _int_to_bits
+from .codec import _int_to_bits
 from .ofdm import OfdmConfig, _ofdm_link, fom_to_ofdm_params
 from .phy import (
     DETECTORS,
@@ -256,9 +257,10 @@ def _cross_validate(scenario: Scenario) -> None:
             )
         spans = [(frame.frame_len, frame.sample_rate)]
     delta_hz = scenario.channel.carrier_freq_error
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phasor is an input error, not a warning
-        if delta_hz and not all(np.isfinite(_cfo_phasor(delta_hz, *span)).all() for span in spans):
-            raise ScenarioError(f"carrier_freq_error = {delta_hz!r} Hz overflows its phasor within one symbol interval")
+    if delta_hz:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phasor is an input error, not a warning
+            if not all(np.isfinite(_cfo_phasor(delta_hz, *span)).all() for span in spans):
+                raise ScenarioError(f"carrier_freq_error = {delta_hz!r} Hz overflows its phasor within one symbol interval")
 
 
 def _points(scenario: Scenario) -> list[tuple[SystemConfig, float]]:
@@ -276,11 +278,14 @@ def validate_scenario_or_config(data: dict) -> ValidationReport:
 
     Scenario-level problems (bad detector, bad sweep, inconsistent modes)
     are reported as hard errors alongside the system config's own report.
+    The soft warnings are the system config's, then those of each config a
+    valid scenario's df_t sweep runs, each warning once, in sweep order.
     """
     report = ValidationReport()
+    swept: list[SystemConfig] = []
     if isinstance(data, dict) and "system" in data:
         try:
-            scenario_from_dict(data)
+            swept = [config for config, _ in _points(scenario_from_dict(data))]
         except ScenarioError as exc:
             report.hard_errors.append(str(exc))
         data = data["system"]
@@ -290,7 +295,9 @@ def validate_scenario_or_config(data: dict) -> ValidationReport:
         inner = ValidationReport(hard_errors=[str(exc)])
     # A system error inside a scenario is already in the scenario error's message.
     report.hard_errors.extend(e for e in inner.hard_errors if not any(e in r for r in report.hard_errors))
-    report.soft_warnings.extend(inner.soft_warnings)
+    for warning in inner.soft_warnings + [w for config in swept for w in validate_config(config).soft_warnings]:
+        if warning not in report.soft_warnings:
+            report.soft_warnings.append(warning)
     return report
 
 
@@ -324,15 +331,19 @@ def _sweep_point(scenario: Scenario, config: SystemConfig):
     return link, _cfo_phasor(delta_hz, link.width, link.sample_rate) if delta_hz else None
 
 
-def _draw_bits(rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` payload bits: element for element ``rng.integers(0, 2, size=count)``, from the same stream words.
+def _draw_value(rng: np.random.Generator, bits: np.ndarray) -> int:
+    """MSB-first value of ``len(bits)`` payload bits drawn into the float32 buffer ``bits``.
 
-    Both forms take one 32-bit word per bit and keep its top bit: Lemire's
-    bounded draw at range 2 returns ``word >> 31``, and a float32 draw is
-    ``(word >> 8) * 2**-24``.  So both leave the generator in the same
-    state; this one skips `Generator.integers`' per-call overhead.
+    Bit for bit ``rng.integers(0, 2, size=len(bits))``: both take one 32-bit
+    word per bit and keep its top bit (Lemire's bounded draw at range 2 returns
+    ``word >> 31``, a float32 draw is ``(word >> 8) * 2**-24``), so both leave
+    the generator in the same state.  This skips `integers`' per-call overhead.
     """
-    return rng.random(count, dtype=np.float32) >= 0.5
+    rng.random(dtype=np.float32, out=bits)
+    value = 0
+    for word in bits.tolist():
+        value = (value << 1) | (word >= 0.5)
+    return value
 
 
 def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: int, dump=None) -> tuple[list[int], float]:
@@ -348,11 +359,13 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
     `awgn` or `frame_awgn`) computes for the same draws.
     """
     link, phasor = point
+    transmit, symbol_energy = link.transmit, link.symbol_energy
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, start // _CHUNK]))
     theta = scenario.channel.phase_rotation
     index_len, symbol_len = scenario.system.index_bit_count, scenario.system.symbol_bit_count
     rotation = np.exp(1j * theta)
     pattern_mask = (1 << symbol_len) - 1
+    bits = np.empty(index_len + symbol_len, dtype=np.float32)
     # Equal blocks of at most link.rows rows (128 frames of 80 samples make
     # 43+43+42 rows, not 51+51+26): temporaries of one size reuse each
     # other's heap memory, which measurably leaves fewer free holes behind.
@@ -360,26 +373,28 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
     blocks = -(-size // link.rows)
     step = -(-size // blocks)
     received_rows = np.empty((step, link.width), dtype=np.complex128)
-    # Every trial's drawn (truth) and decided index and pattern, and its margin: counted after the last block.
-    truth, decided = np.empty((2, 2, size), dtype=np.int64)
+    rows = list(received_rows)  # the row views, made once
+    # Every trial's drawn index and pattern as one value, and its decided ones and margin: counted after the last block.
+    values = []
+    decided = np.empty((2, size), dtype=np.int64)
     margins = np.empty(size)
     for lo in range(0, size, step):
         hi = min(lo + step, size)
-        for r in range(lo, hi):
+        for r, row in zip(range(lo, hi), rows):
             # These bits were drawn as 0/1, so they need no map_index check.
-            value = _bits_to_int(_draw_bits(rng, index_len + symbol_len).tolist())
+            value = _draw_value(rng, bits)
             index, pattern = value >> symbol_len, value & pattern_mask
-            row = received_rows[r - lo]
-            link.transmit(index, pattern, row)
+            transmit(index, pattern, row)
             if theta:
                 row *= rotation
             if phasor is not None:
                 row *= phasor
-            row[...] = awgn(row, es_n0_db, rng, link.symbol_energy)
-            truth[0, r], truth[1, r] = index, pattern
+            row[...] = awgn(row, es_n0_db, rng, symbol_energy)
+            values.append(value)
             if dump is not None and start + r < _DUMP_BLOCKS:
                 _dump_block(dump, start + r, _int_to_bits(index, index_len), _int_to_bits(pattern, symbol_len), row)
         decided[0, lo:hi], decided[1, lo:hi], _, margins[lo:hi] = link.detect(received_rows[: hi - lo])
+    truth = np.array(np.divmod(values, 1 << symbol_len), dtype=np.int64)  # (index, pattern) rows
     index_err, pattern_err = decided != truth
     counts = [int(np.count_nonzero(e)) for e in (index_err, pattern_err, index_err | pattern_err)]
     counts.append(int(np.bitwise_count(decided ^ truth).sum()))
@@ -450,7 +465,7 @@ def write_metrics_csv(rows: Iterable[MetricsRow], scenario: Scenario, out: IO[st
     out.write(f"# scenario: {json.dumps(scenario.to_dict(), sort_keys=True)}\n")
     out.write(METRICS_HEADER + "\n")
     for r in rows:
-        out.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in astuple(r)) + "\n")
+        out.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in _field_values(r).values()) + "\n")
 
 
 def run_efficiency_grid(spec: GridSpec, out: IO[str]) -> None:

@@ -43,6 +43,7 @@ MIN_SAMPLES_PER_SYMBOL = 8
 #   zero_pad_factor * samples-per-symbol FFT bins to the nearest of n offsets [8,192];
 # - m * samples per symbol, the oracle's candidate waveforms for one offset
 #   [262,144, in a test that calls the oracle directly].
+# The efficiency grids (analytics.GridSpec) and the CLI's ranges are held to it too.
 MAX_TABLE_ENTRIES = 1 << 22
 
 

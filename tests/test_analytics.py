@@ -208,6 +208,40 @@ class TestGrid:
             GridSpec(m_values=[4], n_values=[4], eta_values=[0.1], mode="diagonal")
         with pytest.raises(ValueError, match="together"):
             GridSpec(m_values=[4], n_values=[4], eta_values=[0.1], mode="vary-m-n", symbol_rate=1e6)
+        with pytest.raises(ValueError, match="grid of 4196352 points exceeds 4194304"):
+            GridSpec(m_values=[4] * 2049, n_values=[4] * 2048, eta_values=[0.1], mode="vary-m-n")
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        (energy_efficiency_ratio, (4, INF)),
+        (energy_efficiency_ratio, (INF, 4)),
+        (energy_efficiency_ratio, (4, NAN)),
+        (spectral_efficiency_ratio, (4, 2, INF)),
+        (spectral_efficiency_ratio, (INF, 2, 0.1)),
+        (hybrid_ratios, (4, INF, 0.1)),
+        (min_tx_count, (INF, 0.1)),
+        (min_tx_count, (4, INF)),
+        (symbol_spectral_efficiency, (INF, 4, 1.0)),
+        (symbol_spectral_efficiency, (1.0, INF, 1.0)),
+        (symbol_spectral_efficiency, (1.0, 4, INF)),
+        (fom_spectral_efficiency, (1.0, 4, 2, INF, 0.0)),
+        (fom_spectral_efficiency, (1.0, 4, 2, 1.0, INF)),
+        (fom_spectral_efficiency, (NAN, 4, 2, 1.0, 0.0)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else ",".join(map(str, v)),
+)
+def test_non_finite_inputs_are_rejected(function, args):
+    with pytest.raises(ValueError, match="finite"):
+        function(*args)
+
+
+def test_a_huge_integer_order_is_finite():
+    assert energy_efficiency_ratio(2, 2**2000) == pytest.approx(1 / 2001, rel=1e-12)
 
 
 class TestPresets:

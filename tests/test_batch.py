@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fomlink.phy
 import fomlink.scenario
 from fomlink.codec import DataBlock
 from fomlink.ofdm import (
@@ -135,6 +136,27 @@ class TestBatchMatchesPublicDetectors:
             rows[t] = frame_awgn(modulate_frame(random_block(rng, n, m), cfg), es_n0_db, rng).time_samples
         singles = [demodulate_frame(OfdmFrame(row, cfg.sample_rate), cfg) for row in rows]
         assert_rows_match(as_results(_demodulate_rows(rows, cfg), m), singles, True, n)
+
+
+class TestSubBlocks:
+    @pytest.mark.parametrize("detector", ["two-stage", "oracle"])
+    def test_kernels_do_not_depend_on_the_sub_block_size(self, detector, monkeypatch):
+        # 100 rows at 64 samples per symbol, in sub-blocks of 1 row, of the
+        # default size (8 zero-padded FFT rows or 32 oracle rows, the last one
+        # partial) and of all 100 rows: the same four arrays, bit for bit.
+        n, m = 8, 4
+        config = link_config(n, m, df_t=0.25)
+        plan = build_frequency_plan(config)
+        rng = np.random.default_rng(5)
+        rows = np.stack(
+            [awgn(synthesize_block(random_block(rng, n, m), plan, config), 3.0, rng).samples for _ in range(100)]
+        )
+        results = []
+        for block_samples in (1, _BLOCK_SAMPLES, 1 << 30):
+            monkeypatch.setattr(fomlink.phy, "_BLOCK_SAMPLES", block_samples)
+            results.append(batch_rows(detector, rows, plan, m, config.sample_rate))
+        for got in results[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(got, results[0]))
 
 
 # Peak traced bytes of one engine chunk, measured after the point's tables

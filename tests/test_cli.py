@@ -90,7 +90,40 @@ class TestEfficiency:
         assert main(["efficiency", "--m", "notanumber"]) == EXIT_INVALID
         assert "--m" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("axes", [["--m", "1"], ["--m", "4", "--eta", "-1"]])
+    @pytest.mark.parametrize(
+        "axes, needle",
+        [
+            (["--m", "2:4096:1000000000000"], "at most 4194304"),
+            (["--m", "2:4096:4194305"], "at most 4194304"),
+            (["--m", "2:4096:3000", "--n", "1:128:2000"], "6000000 points exceeds 4194304"),
+            (["--m", "2:4096:3000", "--eta", "0:1:2000"], "6000000 points exceeds 4194304"),
+        ],
+    )
+    def test_oversized_ranges_are_refused_before_allocation(self, capsys, axes, needle):
+        assert main(["efficiency", *axes]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert needle in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            ["--m", "4", "--n", "inf"],
+            ["--m", "inf"],
+            ["--m", "4", "--eta", "1e400"],
+            ["--m", "1e400:2:3"],
+            ["--m", "4", "--n", "1:1e400:3"],
+            ["--m", "4", "--eta=-1e308:1e308:3"],
+            ["--m", "4", "--n", "nan"],
+            ["--fig4a", "--symbol-rate", "inf", "--bandwidth", "1"],
+            ["--fig4a", "--symbol-rate", "1", "--bandwidth", "1e400"],
+        ],
+    )
+    def test_non_finite_inputs_exit_invalid(self, capsys, axes):
+        assert main(["efficiency", *axes]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "finite" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("axes", [["--m", "1"], ["--m", "4", "--eta", "-1"], ["--m", "4", "--n", "inf"]])
     def test_a_rejected_grid_leaves_the_out_file_as_it_was(self, tmp_path, axes):
         out = tmp_path / "grid.csv"
         out.write_text("an earlier grid\n")
@@ -269,6 +302,19 @@ class TestValidate:
         assert main(["validate", "--config", str(config)]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.strip().endswith("OK (with warnings)")
+
+    def test_every_df_t_point_warns_once_in_sweep_order(self, tmp_path, capsys):
+        # Clean at df_t = 0.5; at 2 and 4, delta_f/carrier and delta_b/bandwidth exceed their limits.
+        system = {"n": 8, "m": 4, "bandwidth_hz": 20, "delta_f_hz": 0.5, "symbol_rate": 1, "carrier_hz": 1000}
+        config = scenario_file(tmp_path, system=system, sweep={"df_t": [0.5, 2, 4, 2]})
+        assert main(["validate", "--config", str(config)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "WARNING: delta_f/carrier = 0.002 exceeds 0.001; offsets are not small relative to the carrier",
+            "WARNING: delta_b/bandwidth = 0.7 exceeds 0.5; bandwidth expansion is not small relative to the band",
+            "WARNING: delta_f/carrier = 0.004 exceeds 0.001; offsets are not small relative to the carrier",
+            "WARNING: delta_b/bandwidth = 1.4 exceeds 0.5; bandwidth expansion is not small relative to the band",
+            "OK (with warnings)",
+        ]
 
     def test_scenario_error_reported(self, tmp_path, capsys):
         config = scenario_file(tmp_path, sweep={"both": [1]})

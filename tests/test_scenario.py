@@ -17,7 +17,7 @@ from fomlink.scenario import (
     Scenario,
     ScenarioError,
     Sweep,
-    _draw_bits,
+    _draw_value,
     _points,
     run_monte_carlo,
     scenario_from_dict,
@@ -273,13 +273,15 @@ class TestWilson:
 class TestBitDraw:
     def test_draw_bits_is_integers_on_the_same_stream(self):
         # The engine's payload bits must stay rng.integers(0, 2, size=k), bit
-        # for bit and stream word for stream word, with the noise's normals
-        # drawn in between; this fails if numpy changes either algorithm.
+        # for bit (their MSB-first value, k fixed) and stream word for stream
+        # word, drawn into one reused buffer with the noise's normals drawn in
+        # between; this fails if numpy changes either algorithm.
+        buffers = {k: np.empty(k, dtype=np.float32) for k in range(1, 13)}
         for seed in range(200):
             ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
             for k in range(1, 13):
-                got, want = _draw_bits(ours, k), reference.integers(0, 2, size=k)
-                assert [int(b) for b in got] == want.tolist()
+                got, want = _draw_value(ours, buffers[k]), reference.integers(0, 2, size=k)
+                assert got == int("".join(map(str, want.tolist())), 2)
                 assert ours.bit_generator.state == reference.bit_generator.state
                 gap = (seed * 7 + k) % 6  # normals between two trials' bits, none included
                 ours.standard_normal(gap)
