@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator
 
 from .system import MAX_TABLE_ENTRIES
 
@@ -50,10 +50,14 @@ def _check_m(m: float) -> None:
         raise ValueError(f"m must be finite and exceed 1, got {m!r}")
 
 
-def _check_mn(m: float, n: float) -> None:
-    _check_m(m)
+def _check_n(n: float) -> None:
     if not 1 <= n < math.inf:
         raise ValueError(f"n must be finite and at least 1, got {n!r}")
+
+
+def _check_mn(m: float, n: float) -> None:
+    _check_m(m)
+    _check_n(n)
 
 
 def _check_eta(value: float) -> None:
@@ -64,6 +68,11 @@ def _check_eta(value: float) -> None:
 def _check_rates(symbol_rate: float, bandwidth_hz: float) -> None:
     if not (0 < symbol_rate < math.inf and 0 < bandwidth_hz < math.inf):
         raise ValueError("symbol_rate and bandwidth_hz must be finite and positive")
+
+
+def _check_delta_b(delta_b_hz: float) -> None:
+    if not 0 <= delta_b_hz < math.inf:
+        raise ValueError(f"delta_b_hz must be finite and nonnegative, got {delta_b_hz!r}")
 
 
 def _index_term(m: float, n: float) -> float:
@@ -93,8 +102,7 @@ def fom_spectral_efficiency(
 ) -> float:
     """FOM bits/s/Hz: R * (log2(m) + log2(n)) / (B + delta_b)."""
     _check_rates(symbol_rate, bandwidth_hz)
-    if not 0 <= delta_b_hz < math.inf:
-        raise ValueError(f"delta_b_hz must be finite and nonnegative, got {delta_b_hz!r}")
+    _check_delta_b(delta_b_hz)
     _check_mn(m, n)
     return symbol_rate * (math.log2(m) + math.log2(n)) / (bandwidth_hz + delta_b_hz)
 
@@ -140,38 +148,50 @@ class EfficiencyPoint:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A rectangular design-space sweep.
+    """A rectangular design-space sweep of m (outer) against n or eta (inner).
 
-    mode "vary-m-n" sweeps m (outer) against n (inner) at the single eta in
-    eta_values; mode "vary-m-eta" sweeps m (outer) against eta (inner) at
-    the single n in n_values.  symbol_rate and bandwidth_hz are optional;
-    when given, absolute spectral efficiencies e0/es are emitted as well,
-    with delta_b taken as eta * bandwidth_hz.  The grid may hold at most
-    system.MAX_TABLE_ENTRIES points.
+    At most one of n_values and eta_values holds more than one value, and
+    `mode` names the swept pair: "vary-m-eta" when eta varies, "vary-m-n"
+    otherwise.  symbol_rate and bandwidth_hz are optional; when given,
+    absolute spectral efficiencies e0/es are emitted as well, with delta_b
+    taken as eta * bandwidth_hz.  The grid may hold at most
+    system.MAX_TABLE_ENTRIES points, and each value is checked here against
+    the rules the per-point functions apply, so no point of a built grid fails.
     """
 
     m_values: tuple[float, ...]
     n_values: tuple[float, ...]
     eta_values: tuple[float, ...]
-    mode: str = "vary-m-n"
     symbol_rate: float | None = None
     bandwidth_hz: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("vary-m-n", "vary-m-eta"):
-            raise ValueError(f"unknown grid mode {self.mode!r}")
         for name, axis in (("m_values", self.m_values), ("n_values", self.n_values), ("eta_values", self.eta_values)):
             if len(axis) == 0:
                 raise ValueError(f"{name} must not be empty")
-        if self.mode == "vary-m-n" and len(self.eta_values) != 1:
-            raise ValueError("vary-m-n grids need exactly one eta value")
-        if self.mode == "vary-m-eta" and len(self.n_values) != 1:
-            raise ValueError("vary-m-eta grids need exactly one n value")
+        if len(self.n_values) > 1 and len(self.eta_values) > 1:
+            raise ValueError("sweep either n_values or eta_values, not both")
         if (self.symbol_rate is None) != (self.bandwidth_hz is None):
             raise ValueError("symbol_rate and bandwidth_hz must be supplied together")
         size = len(self.m_values) * len(self.n_values) * len(self.eta_values)
         if size > MAX_TABLE_ENTRIES:
             raise ValueError(f"an m x n x eta grid of {size} points exceeds {MAX_TABLE_ENTRIES}, the largest grid swept")
+        # Each value once, by the rules _point's functions apply; a bad eta fails
+        # as its delta_b when rates are set, as its point would.
+        if self.bandwidth_hz is not None:
+            _check_rates(self.symbol_rate, self.bandwidth_hz)
+        for m in self.m_values:
+            _check_m(m)
+        for n in self.n_values:
+            _check_n(n)
+        for eta in self.eta_values:
+            if self.bandwidth_hz is not None:
+                _check_delta_b(eta * self.bandwidth_hz)
+            _check_eta(eta)
+
+    @property
+    def mode(self) -> str:
+        return "vary-m-eta" if len(self.eta_values) > 1 else "vary-m-n"
 
 
 def _point(spec: GridSpec, m: float, n: float, eta: float) -> EfficiencyPoint:
@@ -190,9 +210,14 @@ def _point(spec: GridSpec, m: float, n: float, eta: float) -> EfficiencyPoint:
     )
 
 
+def _walk_grid(spec: GridSpec) -> Iterator[EfficiencyPoint]:
+    """The grid's points, one at a time: m outer, the varied axis inner (the other holds one value)."""
+    return (_point(spec, m, n, eta) for m, n, eta in itertools.product(spec.m_values, spec.n_values, spec.eta_values))
+
+
 def grid_sweep(spec: GridSpec) -> list[EfficiencyPoint]:
-    """Evaluate the grid in deterministic order: m outer, the varied axis inner (the other holds one value)."""
-    return [_point(spec, m, n, eta) for m, n, eta in itertools.product(spec.m_values, spec.n_values, spec.eta_values)]
+    """Evaluate the grid in deterministic order: m outer, the varied axis inner."""
+    return list(_walk_grid(spec))
 
 
 def _log_spaced(start: float, stop: float, count: int) -> tuple[float, ...]:
@@ -209,9 +234,9 @@ _POW2_N = tuple(float(2**k) for k in range(0, 8))  # 1 .. 128
 _ETA_GRID = _log_spaced(1e-3, 1e-1, 25)
 
 _PRESETS = {
-    "fig4a": GridSpec(m_values=_POW2_M, n_values=_POW2_N, eta_values=(0.01,), mode="vary-m-n"),
-    "fig4b": GridSpec(m_values=_POW2_M, n_values=_POW2_N, eta_values=(0.1,), mode="vary-m-n"),
-    "fig5": GridSpec(m_values=_POW2_M, n_values=(128.0,), eta_values=_ETA_GRID, mode="vary-m-eta"),
+    "fig4a": GridSpec(m_values=_POW2_M, n_values=_POW2_N, eta_values=(0.01,)),
+    "fig4b": GridSpec(m_values=_POW2_M, n_values=_POW2_N, eta_values=(0.1,)),
+    "fig5": GridSpec(m_values=_POW2_M, n_values=(128.0,), eta_values=_ETA_GRID),
 }
 
 PRESET_NAMES = tuple(_PRESETS)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import sys
@@ -93,31 +92,21 @@ def _grid_from_args(args: argparse.Namespace) -> GridSpec:
     if len(chosen) > 1:
         raise ScenarioError(f"choose at most one preset, got: {', '.join(chosen)}")
     if chosen:
-        if args.m or args.n or args.eta:
+        if (args.m, args.n, args.eta) != (None, None, None):
             raise ScenarioError("presets fix --m/--n/--eta; drop the explicit axes")
         grid = preset_grid(chosen[0])
         if args.symbol_rate is not None or args.bandwidth is not None:
             grid = replace(grid, symbol_rate=args.symbol_rate, bandwidth_hz=args.bandwidth)
         return grid
-    if not args.m:
+    if args.m is None:
         raise ScenarioError("efficiency needs --m (plus --n/--eta) or one preset flag")
-    m_values = _parse_axis(args.m, "m")
-    n_values = _parse_axis(args.n, "n") if args.n else (1.0,)
-    eta_values = _parse_axis(args.eta, "eta") if args.eta else (0.0,)
-    if len(n_values) > 1 and len(eta_values) > 1:
-        raise ScenarioError("sweep either --n or --eta, not both")
-    mode = "vary-m-eta" if len(eta_values) > 1 else "vary-m-n"
-    try:
-        return GridSpec(
-            m_values=m_values,
-            n_values=n_values,
-            eta_values=eta_values,
-            mode=mode,
-            symbol_rate=args.symbol_rate,
-            bandwidth_hz=args.bandwidth,
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return GridSpec(
+        m_values=_parse_axis(args.m, "m"),
+        n_values=_parse_axis(args.n, "n") if args.n is not None else (1.0,),
+        eta_values=_parse_axis(args.eta, "eta") if args.eta is not None else (0.0,),
+        symbol_rate=args.symbol_rate,
+        bandwidth_hz=args.bandwidth,
+    )
 
 
 def _open_out(path: str | None):
@@ -130,11 +119,9 @@ def _load_json(path: str) -> dict:
 
 
 def _cmd_efficiency(args: argparse.Namespace) -> int:
-    # Rendered before --out is opened: a grid that fails its per-point checks leaves the file as it was.
-    text = io.StringIO()
-    run_efficiency_grid(_grid_from_args(args), text)
+    grid = _grid_from_args(args)  # checks every value, so a rejected grid never opens --out
     with _open_out(args.out) as out:
-        out.write(text.getvalue())
+        run_efficiency_grid(grid, out)
     return EXIT_OK
 
 

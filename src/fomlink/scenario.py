@@ -46,7 +46,7 @@ from .system import (
     _is_real,
     validate_config,
 )
-from .analytics import GridSpec, _fmt, grid_sweep, write_efficiency_csv
+from .analytics import GridSpec, _fmt, _walk_grid, write_efficiency_csv
 
 __all__ = [
     "Scenario",
@@ -469,6 +469,6 @@ def write_metrics_csv(rows: Iterable[MetricsRow], scenario: Scenario, out: IO[st
 
 
 def run_efficiency_grid(spec: GridSpec, out: IO[str]) -> None:
-    """Sweep the grid and write the efficiency CSV with a provenance comment."""
+    """Write the efficiency CSV with a provenance comment, each row as the grid walk yields it."""
     comment = f"fomlink {__version__} efficiency grid: mode={spec.mode} m={list(spec.m_values)} n={list(spec.n_values)} eta={list(spec.eta_values)}"
-    write_efficiency_csv(grid_sweep(spec), out, comment=comment)
+    write_efficiency_csv(_walk_grid(spec), out, comment=comment)

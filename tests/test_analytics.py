@@ -1,6 +1,7 @@
 """Closed-form efficiency ratios and grid sweeps."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ class TestHybrid:
 
 class TestGrid:
     def test_vary_m_n_ordering_and_size(self):
-        spec = GridSpec(m_values=POW2_M, n_values=POW2_N, eta_values=[0.01], mode="vary-m-n")
+        spec = GridSpec(m_values=POW2_M, n_values=POW2_N, eta_values=[0.01])
         points = grid_sweep(spec)
         assert len(points) == 56
         assert [p.m for p in points[:8]] == [2] * 8
@@ -175,7 +176,6 @@ class TestGrid:
             m_values=[4, 16],
             n_values=[8],
             eta_values=[0.0, 0.1],
-            mode="vary-m-eta",
         )
         points = grid_sweep(spec)
         assert [(p.m, p.eta) for p in points] == [(4, 0.0), (4, 0.1), (16, 0.0), (16, 0.1)]
@@ -186,7 +186,6 @@ class TestGrid:
             m_values=[256],
             n_values=[128],
             eta_values=[0.01],
-            mode="vary-m-n",
             symbol_rate=1e6,
             bandwidth_hz=1e6,
         )
@@ -195,21 +194,40 @@ class TestGrid:
         assert point.es == pytest.approx(15 / 1.01, rel=1e-12)
 
     def test_e0_es_absent_without_rates(self):
-        spec = GridSpec(m_values=[4], n_values=[4], eta_values=[0.1], mode="vary-m-n")
+        spec = GridSpec(m_values=[4], n_values=[4], eta_values=[0.1])
         point = grid_sweep(spec)[0]
         assert point.e0 is None and point.es is None
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError, match="exactly one eta"):
-            GridSpec(m_values=[4], n_values=[4], eta_values=[0.1, 0.2], mode="vary-m-n")
-        with pytest.raises(ValueError, match="exactly one n"):
-            GridSpec(m_values=[4], n_values=[4, 8], eta_values=[0.1], mode="vary-m-eta")
-        with pytest.raises(ValueError, match="mode"):
-            GridSpec(m_values=[4], n_values=[4], eta_values=[0.1], mode="diagonal")
+        with pytest.raises(ValueError, match="either n_values or eta_values, not both"):
+            GridSpec(m_values=[4], n_values=[4, 8], eta_values=[0.1, 0.2])
         with pytest.raises(ValueError, match="together"):
-            GridSpec(m_values=[4], n_values=[4], eta_values=[0.1], mode="vary-m-n", symbol_rate=1e6)
+            GridSpec(m_values=[4], n_values=[4], eta_values=[0.1], symbol_rate=1e6)
         with pytest.raises(ValueError, match="grid of 4196352 points exceeds 4194304"):
-            GridSpec(m_values=[4] * 2049, n_values=[4] * 2048, eta_values=[0.1], mode="vary-m-n")
+            GridSpec(m_values=[4] * 2049, n_values=[4] * 2048, eta_values=[0.1])
+
+    def test_mode_follows_the_axes(self):
+        assert "mode" not in {f.name for f in fields(GridSpec)}
+        assert GridSpec(m_values=[4], n_values=[1, 2], eta_values=[0.1]).mode == "vary-m-n"
+        assert GridSpec(m_values=[4], n_values=[2], eta_values=[0.1]).mode == "vary-m-n"
+        assert GridSpec(m_values=[4], n_values=[2], eta_values=[0.1, 0.2]).mode == "vary-m-eta"
+        assert [preset_grid(name).mode for name in ("fig4a", "fig4b", "fig5")] == ["vary-m-n", "vary-m-n", "vary-m-eta"]
+
+    @pytest.mark.parametrize(
+        "overrides, needle",
+        [
+            ({"m_values": [4, 1]}, "m must be finite and exceed 1, got 1"),
+            ({"n_values": [2, 0.5]}, "n must be finite and at least 1, got 0.5"),
+            ({"eta_values": [math.nan]}, "eta must be finite and nonnegative, got nan"),
+            ({"eta_values": [-1.0], "symbol_rate": 1.0, "bandwidth_hz": 1.0}, "delta_b_hz must be finite and nonnegative, got -1.0"),
+            ({"eta_values": [1e300], "symbol_rate": 1.0, "bandwidth_hz": 1e10}, "delta_b_hz must be finite and nonnegative, got inf"),
+            ({"symbol_rate": math.inf, "bandwidth_hz": 1.0}, "symbol_rate and bandwidth_hz must be finite and positive"),
+        ],
+    )
+    def test_every_value_is_checked_when_the_grid_is_built(self, overrides, needle):
+        with pytest.raises(ValueError) as raised:
+            GridSpec(**{"m_values": [4], "n_values": [2], "eta_values": [0.1], **overrides})
+        assert str(raised.value) == needle
 
 
 INF, NAN = math.inf, math.nan
@@ -276,7 +294,7 @@ class TestPresets:
 
 class TestCsv:
     def test_layout(self, tmp_path):
-        spec = GridSpec(m_values=[4], n_values=[1, 2], eta_values=[0.01], mode="vary-m-n")
+        spec = GridSpec(m_values=[4], n_values=[1, 2], eta_values=[0.01])
         out = tmp_path / "grid.csv"
         with out.open("w") as fh:
             write_efficiency_csv(grid_sweep(spec), fh, comment="source: unit test")
@@ -291,7 +309,7 @@ class TestCsv:
 
     def test_nine_significant_digits(self, tmp_path):
         spec = GridSpec(
-            m_values=[256], n_values=[128], eta_values=[0.01], mode="vary-m-n",
+            m_values=[256], n_values=[128], eta_values=[0.01],
             symbol_rate=1e6, bandwidth_hz=1e6,
         )
         out = tmp_path / "grid.csv"

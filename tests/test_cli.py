@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -123,12 +124,40 @@ class TestEfficiency:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "finite" in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("axes", [["--m", "1"], ["--m", "4", "--eta", "-1"], ["--m", "4", "--n", "inf"]])
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            ["--m", "1"],
+            ["--m", "4", "--eta", "-1"],
+            ["--m", "4", "--n", "inf"],
+            ["--m", "4", "--eta", "1e300", "--symbol-rate", "1", "--bandwidth", "1e10"],
+            ["--m", "4", "--n", ""],
+            ["--m", "4", "--n", "2,4", "--eta", ""],
+            ["--fig4a", "--m", ""],
+        ],
+    )
     def test_a_rejected_grid_leaves_the_out_file_as_it_was(self, tmp_path, axes):
         out = tmp_path / "grid.csv"
         out.write_text("an earlier grid\n")
         assert main(["efficiency", *axes, "--out", str(out)]) == EXIT_INVALID
         assert out.read_bytes() == b"an earlier grid\n"
+
+    def test_rows_stream_to_the_out_file(self, tmp_path):
+        # The peak of a 100k-point grid stays within a fixed margin of a 10k-point one.
+        out = str(tmp_path / "grid.csv")
+        assert main(["efficiency", "--m", "4", "--out", out]) == EXIT_OK  # builds the cached parser untraced
+
+        def peak(m_steps):
+            tracemalloc.start()
+            try:
+                assert main(["efficiency", "--m", f"2:4096:{m_steps}", "--n", "1:128:100", "--eta", "0.01", "--out", out]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(100), peak(1000)
+        assert len(Path(out).read_text().splitlines()) == 2 + 100_000
+        assert large - small < 256 * 1024, (small, large)
 
 
 class TestSimulate:

@@ -27,6 +27,7 @@ from fomlink.scenario import (
     write_metrics_csv,
 )
 from fomlink.system import SystemConfig, build_frequency_plan, validate_config
+from references import biorthogonal_block_error, noncoherent_fsk_index_error
 
 
 def scenario_dict(**overrides):
@@ -47,13 +48,6 @@ def scenario_dict(**overrides):
     }
     data.update(overrides)
     return data
-
-
-def noncoherent_fsk_index_error(n, es_n0_db):
-    """Symbol error rate of noncoherent orthogonal n-FSK (Proakis, Digital Communications, 4.5):
-    P = sum_k (-1)^(k+1) C(n-1, k) / (k+1) * exp(-k/(k+1) * Es/N0)."""
-    es_n0 = 10 ** (es_n0_db / 10)
-    return sum((-1) ** (k + 1) * math.comb(n - 1, k) / (k + 1) * math.exp(-k / (k + 1) * es_n0) for k in range(1, n))
 
 
 def render_csv(scenario, rows):
@@ -396,6 +390,27 @@ class TestMonteCarlo:
             p = (1 - 1 / math.sqrt(m)) * math.erfc(math.sqrt(3 * 10 ** (row.es_n0_db / 10) / (2 * (m - 1))))
             lo, hi = wilson_interval(round(row.symbol_error_rate * trials), trials)
             assert lo <= 1 - (1 - p) ** 2 <= hi, (row.es_n0_db, row.symbol_error_rate, 1 - (1 - p) ** 2)
+
+    def test_the_biorthogonal_reference_reduces_to_bpsk_and_qpsk(self):
+        for es_n0_db in (0.0, 3.0, 6.0):
+            es_n0 = 10 ** (es_n0_db / 10)
+            q = 0.5 * math.erfc(math.sqrt(es_n0 / 2))
+            assert biorthogonal_block_error(1, es_n0_db) == pytest.approx(0.5 * math.erfc(math.sqrt(es_n0)), rel=1e-6)
+            assert biorthogonal_block_error(2, es_n0_db) == pytest.approx(1 - (1 - q) ** 2, rel=1e-6)
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (8, 2), (8, 4)])
+    def test_joint_ml_block_error_is_coherent_biorthogonal(self, n, m):
+        # At delta_f * T = 1 the tones are orthogonal, so BPSK on n tones is the
+        # biorthogonal set in n dimensions, and QPSK (a 45-degree-rotated
+        # biorthogonal pair on each tone) the one in 2n.  z = 3.29 is the
+        # two-sided 99.9% band, wide enough for nine points on one fixed seed.
+        trials = 4000
+        system = {**scenario_dict()["system"], "n": n, "m": m}
+        s = scenario_from_dict(scenario_dict(system=system, trials=trials, sweep={"es_n0_db": [0.0, 3.0, 6.0]}))
+        for row in run_monte_carlo(s):
+            want = biorthogonal_block_error(n if m == 2 else 2 * n, row.es_n0_db)
+            lo, hi = wilson_interval(round(row.block_error_rate * trials), trials, z=3.29)
+            assert lo <= want <= hi, (row.es_n0_db, row.block_error_rate, want)
 
     def test_noncoherent_index_error_is_noncoherent_fsk_under_rotation(self):
         # At delta_f * T = 1 the tones are orthogonal and QPSK has one
