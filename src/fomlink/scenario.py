@@ -7,12 +7,12 @@ realized by scaling delta_f while holding the symbol rate fixed, which also
 rescales the occupied band and eta for that point.
 
 Reproducibility contract: the trials of a sweep point run in chunks of
-``_CHUNK``; chunk ``c`` draws from ``default_rng(SeedSequence([seed, c]))``,
-trial after trial, each trial taking its payload bits (one float32 draw into
-a buffer the chunk reuses) and then its noise.  Distinct seeds therefore
-give independent streams, every sweep point sees the same draws, and
-aggregation is plain counting in fixed chunk order.  The same (scenario,
-seed) always produces a byte-identical metrics CSV.
+``_CHUNK``; chunk ``c`` draws from ``default_rng(SeedSequence([seed, c]))``
+first its trials' payloads, one `integers` call of one value per trial,
+then each trial's noise in trial order.  Distinct seeds therefore give
+independent streams, every sweep point sends the same payloads, noiseless
+ones included, and aggregation is plain counting in fixed chunk order.  The
+same (scenario, seed) always produces a byte-identical metrics CSV.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ SWEEP_AXES = ("es_n0_db", "df_t")
 
 _CHUNK = 1024
 _DUMP_BLOCKS = 8
-_SEED_SCHEME = f"chunk c of {_CHUNK} trials draws from default_rng(SeedSequence([seed, c]))"
+_SEED_SCHEME = f"chunk c of {_CHUNK} trials draws from default_rng(SeedSequence([seed, c])) its payload values, then each trial's noise"
 
 
 class ScenarioError(ValueError):
@@ -331,26 +331,12 @@ def _sweep_point(scenario: Scenario, config: SystemConfig):
     return link, _cfo_phasor(delta_hz, link.width, link.sample_rate) if delta_hz else None
 
 
-def _draw_value(rng: np.random.Generator, bits: np.ndarray) -> int:
-    """MSB-first value of ``len(bits)`` payload bits drawn into the float32 buffer ``bits``.
-
-    Bit for bit ``rng.integers(0, 2, size=len(bits))``: both take one 32-bit
-    word per bit and keep its top bit (Lemire's bounded draw at range 2 returns
-    ``word >> 31``, a float32 draw is ``(word >> 8) * 2**-24``), so both leave
-    the generator in the same state.  This skips `integers`' per-call overhead.
-    """
-    rng.random(dtype=np.float32, out=bits)
-    value = 0
-    for word in bits.tolist():
-        value = (value << 1) | (word >= 0.5)
-    return value
-
-
 def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: int, dump=None) -> tuple[list[int], float]:
     """Error counts (index, symbol, block, bit) and the margin sum over trials start..stop-1.
 
-    The span is one whole chunk, or the last one; its trials draw in order
-    from the chunk's stream, each its payload bits and then its noise.
+    The span is one whole chunk, or the last one.  Its stream first gives
+    every trial's payload, one value each whose bits, MSB first, are the
+    index bits and then the pattern bits, and then each trial's noise.
     ``point`` is `_sweep_point`'s (link, phasor).  The link's transmitter and
     the channel run per trial on bare samples, each trial filling a row of a
     block of ``link.rows`` rows, which the link then detects as one batch.
@@ -363,38 +349,34 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, start // _CHUNK]))
     theta = scenario.channel.phase_rotation
     index_len, symbol_len = scenario.system.index_bit_count, scenario.system.symbol_bit_count
+    size = stop - start
+    # (index, pattern) rows; drawn as whole values, they need no map_index check.
+    truth = np.array(np.divmod(rng.integers(0, 1 << (index_len + symbol_len), size=size), 1 << symbol_len))
+    indices, patterns = truth.tolist()
     rotation = np.exp(1j * theta)
-    pattern_mask = (1 << symbol_len) - 1
-    bits = np.empty(index_len + symbol_len, dtype=np.float32)
     # Equal blocks of at most link.rows rows (128 frames of 80 samples make
     # 43+43+42 rows, not 51+51+26): temporaries of one size reuse each
     # other's heap memory, which measurably leaves fewer free holes behind.
-    size = stop - start
     blocks = -(-size // link.rows)
     step = -(-size // blocks)
     received_rows = np.empty((step, link.width), dtype=np.complex128)
     rows = list(received_rows)  # the row views, made once
-    # Every trial's drawn index and pattern as one value, and its decided ones and margin: counted after the last block.
-    values = []
+    # Every trial's decided index and pattern and its margin: counted after the last block.
     decided = np.empty((2, size), dtype=np.int64)
     margins = np.empty(size)
     for lo in range(0, size, step):
         hi = min(lo + step, size)
         for r, row in zip(range(lo, hi), rows):
-            # These bits were drawn as 0/1, so they need no map_index check.
-            value = _draw_value(rng, bits)
-            index, pattern = value >> symbol_len, value & pattern_mask
+            index, pattern = indices[r], patterns[r]
             transmit(index, pattern, row)
             if theta:
                 row *= rotation
             if phasor is not None:
                 row *= phasor
             row[...] = awgn(row, es_n0_db, rng, symbol_energy)
-            values.append(value)
             if dump is not None and start + r < _DUMP_BLOCKS:
                 _dump_block(dump, start + r, _int_to_bits(index, index_len), _int_to_bits(pattern, symbol_len), row)
         decided[0, lo:hi], decided[1, lo:hi], _, margins[lo:hi] = link.detect(received_rows[: hi - lo])
-    truth = np.array(np.divmod(values, 1 << symbol_len), dtype=np.int64)  # (index, pattern) rows
     index_err, pattern_err = decided != truth
     counts = [int(np.count_nonzero(e)) for e in (index_err, pattern_err, index_err | pattern_err)]
     counts.append(int(np.bitwise_count(decided ^ truth).sum()))

@@ -21,3 +21,30 @@ def biorthogonal_block_error(dims, es_n0_db):
     density = np.exp(-0.5 * ((x - 1) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
     inside = np.array([math.erf(v / (sigma * math.sqrt(2))) for v in x])
     return 1.0 - float(np.trapezoid(density * inside ** (dims - 1), x))
+
+
+def ofdm_single_silent_index_error(n, es_n0_db):
+    """Index error rate of single-silent OFDM with one n-bin frame of unit-modulus symbols (BPSK or QPSK).
+
+    With per-bin noise variance s^2 = 10**(-Es/N0/10), the silent bin's amplitude is Rayleigh and each of the
+    n - 1 active bins' is Rician about 1; the index is right when the silent bin is the weakest:
+    P = 1 - integral_0^inf f_silent(r) * P(|1 + w| > r)^(n-1) dr, taken by the trapezoid rule, with the Rician
+    tail from a cumulative trapezoid over its density (np.i0 keeps that finite up to about 20 dB)."""
+    s2 = 10 ** (-es_n0_db / 10)
+    r = np.linspace(0.0, 1.0 + 12 * math.sqrt(s2), 20_001)
+    silent = 2 * r / s2 * np.exp(-(r**2) / s2)
+    active = 2 * r / s2 * np.exp(-(r**2 + 1) / s2) * np.i0(2 * r / s2)
+    below = np.concatenate(([0.0], np.cumsum((active[1:] + active[:-1]) / 2 * np.diff(r))))
+    return 1.0 - float(np.trapezoid(silent * (1.0 - below) ** (n - 1), r))
+
+
+def ml_block_error_bounds(signals, es_n0_db):
+    """Lower and upper bounds on the ML block error rate of the equiprobable rows of `signals` (K, S) in complex
+    AWGN of per-sample variance s^2 = S * 10**(-Es/N0/10), from the distances d_ij between rows:
+    the nearest-neighbour bound mean_i max_j Q(d_ij / sqrt(2 s^2)) and the union bound mean_i sum_j Q(d_ij / sqrt(2 s^2))."""
+    signals = np.asarray(signals)
+    s2 = signals.shape[-1] * 10 ** (-es_n0_db / 10)
+    distances = np.linalg.norm(signals[:, None, :] - signals[None, :, :], axis=-1)
+    q = np.vectorize(math.erfc)(distances / (2 * math.sqrt(s2))) / 2
+    np.fill_diagonal(q, 0.0)
+    return float(q.max(axis=1).mean()), float(q.sum(axis=1).mean())

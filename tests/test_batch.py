@@ -274,11 +274,16 @@ def public_chain_rows(scenario):
     else:
         plan = build_frequency_plan(config)
         transmit, add_noise = (lambda block: synthesize_block(block, plan, config)), awgn
+    split = (config.n - 1).bit_length()
+    width = split + (config.m - 1).bit_length()
     rows = []
     for start in range(0, scenario.trials, _CHUNK):
         rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, start // _CHUNK]))
-        for _ in range(start, min(start + _CHUNK, scenario.trials)):
-            signal = transmit(random_block(rng, config.n, config.m))
+        # The chunk's payloads come first, one value per trial: its bits, MSB first, are the block's bits.
+        values = rng.integers(0, 1 << width, size=min(start + _CHUNK, scenario.trials) - start)
+        for value in values.tolist():
+            bits = tuple(int(bit) for bit in format(value, f"0{width}b"))
+            signal = transmit(DataBlock(index_bits=bits[:split], symbol_bits=bits[split:]))
             if channel.phase_rotation:
                 signal = apply_phase_rotation(signal, channel.phase_rotation)
             if channel.carrier_freq_error:

@@ -202,6 +202,19 @@ class TestSimulate:
         capsys.readouterr()
         assert dump.read_text().splitlines()[1] == "t,re,im"
 
+    def test_every_sweep_point_sees_the_same_payloads(self, tmp_path, capsys):
+        # A noiseless trial draws no noise, yet it sends what a noisy one
+        # sends: each chunk draws its payloads before any trial's noise.
+        headers = []
+        for es_n0_db in (None, 5.0):
+            config = scenario_file(tmp_path, trials=64, channel={"es_n0_db": es_n0_db})
+            dump = tmp_path / "dump.csv"
+            assert main(["simulate", "--config", str(config), "--dump-signals", str(dump)]) == EXIT_OK
+            headers.append([line for line in dump.read_text().splitlines() if line.startswith("# block")])
+        capsys.readouterr()
+        assert len(headers[0]) == 8
+        assert headers[0] == headers[1]
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{oops")

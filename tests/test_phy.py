@@ -259,6 +259,22 @@ class TestAwgnReference:
         assert got.tobytes() == want.tobytes()
         assert ours.bit_generator.state == reference.bit_generator.state
 
+    @pytest.mark.parametrize("width, symbol_energy", [(64, None), (80, 1.0)])  # a fom block, an OFDM block
+    def test_successive_rows_take_one_block_draw(self, width, symbol_energy):
+        # One awgn call per row of a (B, S) block takes the stream words of one
+        # standard_normal((B, 2, S)) draw, so noise drawn per block leaves every
+        # received row and the generator as per-row noise does.
+        rng = np.random.default_rng(21)
+        rows = rng.standard_normal((6, width)) + 1j * rng.standard_normal((6, width))
+        ours, reference = np.random.default_rng(5), np.random.default_rng(5)
+        got = np.array([awgn(row, 7.0, ours, symbol_energy) for row in rows])
+        energy = float(width) if symbol_energy is None else symbol_energy
+        scale = math.sqrt(energy * 10.0 ** (-7.0 / 10.0) / 2.0)
+        noise = reference.standard_normal((len(rows), 2, width))
+        want = rows + scale * (noise[:, 0] + 1j * noise[:, 1])
+        assert got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == reference.bit_generator.state
+
     @pytest.mark.parametrize("kind", AWGN_INPUTS)
     def test_noiseless_returns_the_input_object(self, kind):
         signal, _, symbol_energy = awgn_inputs(kind)
