@@ -169,6 +169,11 @@ def frame_awgn(frame: OfdmFrame, es_n0_db: float, rng_seed: int | np.random.Gene
 
 def _ofdm_link(cfg: OfdmConfig) -> _Link:
     """The link of one sweep point: frame synthesis, the FFT demodulator and `frame_awgn`'s calibration."""
-    transmit = functools.partial(_synthesize_frame, cfg, constellation(cfg.m))
+    table = constellation(cfg.m)
+
+    def transmit(indices: np.ndarray, patterns: np.ndarray, rows: np.ndarray) -> None:
+        for index, pattern, row in zip(indices.tolist(), patterns.tolist(), rows):
+            _synthesize_frame(cfg, table, index, pattern, row)
+
     detect = functools.partial(_demodulate_rows, cfg=cfg)
     return _Link(cfg.frame_len, cfg.sample_rate, transmit, detect, max(1, _BLOCK_SAMPLES // cfg.frame_len), _SYMBOL_ENERGY)

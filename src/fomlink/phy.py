@@ -181,10 +181,10 @@ def awgn(
     The noise is one ``standard_normal((2, count))`` draw: the count real
     parts first, then the count imaginary parts, which is what two
     successive ``standard_normal(count)`` calls return.  That order is the
-    stream contract the Monte-Carlo engine's seed scheme rests on.  Each
-    part is scaled and added to its half of a complex128 copy of the
-    samples, so the result is bit for bit
-    ``samples + scale * (real + 1j * imag)``.
+    stream contract the Monte-Carlo engine's seed scheme rests on.  The
+    scaled parts fill the two halves of a fresh complex128 array, to which
+    the samples are then added, so the input is left as it was and the
+    result is bit for bit ``samples + scale * (real + 1j * imag)``.
     """
     samples = signal if isinstance(signal, np.ndarray) else signal.samples
     if samples.ndim != 1:
@@ -198,10 +198,10 @@ def awgn(
     sigma2 = symbol_energy * 10.0 ** (-es_n0_db / 10.0)
     scale = math.sqrt(sigma2 / 2.0)
     noise = rng.standard_normal((2, count))
-    noise *= scale
-    noisy = np.array(samples, dtype=np.complex128)
-    noisy.real += noise[0]
-    noisy.imag += noise[1]
+    noisy = np.empty(count, dtype=np.complex128)
+    np.multiply(noise[0], scale, out=noisy.real)
+    np.multiply(noise[1], scale, out=noisy.imag)
+    noisy += samples
     return noisy if samples is signal else _with_samples(signal, noisy)
 
 
@@ -341,14 +341,15 @@ DETECTORS = ("joint-ml", "noncoherent", "two-stage", "oracle")
 @dataclass(frozen=True)
 class _Link:
     """One sweep point's transmitter and receiver, every table built once:
-    ``transmit(index, pattern, row)`` writes a trial's ``width`` samples into
-    ``row``; ``detect`` maps a (T, width) block of rows to (best, pattern,
+    ``transmit(indices, patterns, rows)`` writes T trials' ``width`` samples
+    into a (T, width) block of ``rows``, row t from ``indices[t]`` and
+    ``patterns[t]``; ``detect`` maps such a block to (best, pattern,
     metric, margin) per row, best 0-based, each of its temporaries within
     2 * _BLOCK_SAMPLES samples for T <= ``rows``; ``symbol_energy`` is `awgn`'s."""
 
     width: int
     sample_rate: float
-    transmit: Callable[[int, int, np.ndarray], None]
+    transmit: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     detect: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     rows: int
     symbol_energy: float | None
@@ -372,9 +373,9 @@ def _fom_link(detector: str, plan: FrequencyPlan, m: int, count: int, sample_rat
         raise ValueError(f"unknown detector {detector!r}")
     table = constellation(m)
 
-    def transmit(index: int, pattern: int, row: np.ndarray) -> None:
+    def transmit(indices: np.ndarray, patterns: np.ndarray, rows: np.ndarray) -> None:
         # a * tone in synthesize_block's operand order: swapped, the product rounds differently.
-        np.multiply(table[pattern], tones[index], out=row)
+        np.multiply(table[patterns][:, None], tones[indices], out=rows)
 
     return _Link(count, sample_rate, transmit, detect, max(1, _BLOCK_SAMPLES // max(count, per_row)), None)
 

@@ -337,12 +337,14 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
     The span is one whole chunk, or the last one.  Its stream first gives
     every trial's payload, one value each whose bits, MSB first, are the
     index bits and then the pattern bits, and then each trial's noise.
-    ``point`` is `_sweep_point`'s (link, phasor).  The link's transmitter and
-    the channel run per trial on bare samples, each trial filling a row of a
-    block of ``link.rows`` rows, which the link then detects as one batch.
-    Every row is bit for bit what the public chain (`synthesize_block` or
-    `modulate_frame`, `apply_phase_rotation`, `apply_carrier_freq_error`,
-    `awgn` or `frame_awgn`) computes for the same draws.
+    ``point`` is `_sweep_point`'s (link, phasor).  Each block of at most
+    ``link.rows`` rows, one trial each, is built in one step: the link's
+    transmitter writes the whole block, then rotation and CFO multiply it.
+    Only the noise runs per trial, one `awgn` call per row in trial order;
+    the link then detects the block as one batch.  Every row is bit for bit
+    what the public chain (`synthesize_block` or `modulate_frame`,
+    `apply_phase_rotation`, `apply_carrier_freq_error`, `awgn` or
+    `frame_awgn`) computes for the same draws.
     """
     link, phasor = point
     transmit, symbol_energy = link.transmit, link.symbol_energy
@@ -352,7 +354,6 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
     size = stop - start
     # (index, pattern) rows; drawn as whole values, they need no map_index check.
     truth = np.array(np.divmod(rng.integers(0, 1 << (index_len + symbol_len), size=size), 1 << symbol_len))
-    indices, patterns = truth.tolist()
     rotation = np.exp(1j * theta)
     # Equal blocks of at most link.rows rows (128 frames of 80 samples make
     # 43+43+42 rows, not 51+51+26): temporaries of one size reuse each
@@ -366,17 +367,18 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
     margins = np.empty(size)
     for lo in range(0, size, step):
         hi = min(lo + step, size)
+        block = received_rows[: hi - lo]
+        transmit(truth[0, lo:hi], truth[1, lo:hi], block)
+        if theta:
+            block *= rotation
+        if phasor is not None:
+            block *= phasor
         for r, row in zip(range(lo, hi), rows):
-            index, pattern = indices[r], patterns[r]
-            transmit(index, pattern, row)
-            if theta:
-                row *= rotation
-            if phasor is not None:
-                row *= phasor
             row[...] = awgn(row, es_n0_db, rng, symbol_energy)
             if dump is not None and start + r < _DUMP_BLOCKS:
+                index, pattern = truth[:, r].tolist()
                 _dump_block(dump, start + r, _int_to_bits(index, index_len), _int_to_bits(pattern, symbol_len), row)
-        decided[0, lo:hi], decided[1, lo:hi], _, margins[lo:hi] = link.detect(received_rows[: hi - lo])
+        decided[0, lo:hi], decided[1, lo:hi], _, margins[lo:hi] = link.detect(block)
     index_err, pattern_err = decided != truth
     counts = [int(np.count_nonzero(e)) for e in (index_err, pattern_err, index_err | pattern_err)]
     counts.append(int(np.bitwise_count(decided ^ truth).sum()))

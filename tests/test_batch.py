@@ -246,8 +246,8 @@ class TestBlockMemoryBound:
         assert margin_sum > 0.0
 
 
-def engine_rows(scenario, monkeypatch):
-    """Every row the engine hands to the scenario's detection kernel, in trial order."""
+def engine_blocks(scenario, monkeypatch):
+    """Every block of rows the engine hands to the scenario's detection kernel, in trial order."""
     captured = []
 
     def recording_point(scenario, config):
@@ -261,7 +261,7 @@ def engine_rows(scenario, monkeypatch):
 
     monkeypatch.setattr(fomlink.scenario, "_sweep_point", recording_point)
     run_monte_carlo(scenario)
-    return np.concatenate(captured)
+    return captured
 
 
 def public_chain_rows(scenario):
@@ -310,9 +310,25 @@ class TestEngineRowsMatchPublicChain:
     def test_fom(self, n, m, detector, trials, es_n0_db, monkeypatch):
         data = scenario_data(n, m, detector, trials=trials, channel={"es_n0_db": es_n0_db, **IMPAIRED})
         scenario = scenario_from_dict(data)
-        got, want = engine_rows(scenario, monkeypatch), public_chain_rows(scenario)
+        got, want = np.concatenate(engine_blocks(scenario, monkeypatch)), public_chain_rows(scenario)
         assert got.shape == (trials, scenario.system.samples_per_symbol)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "impairments, trials, es_n0_db, block_rows",
+        [
+            ({"phase_rotation": 0.7}, 100, 5.0, [50, 50]),  # rotation only
+            ({"carrier_freq_error": 0.013}, 100, 5.0, [50, 50]),  # CFO only
+            ({}, 100, None, [50, 50]),  # neither
+            (IMPAIRED, 130, 5.0, [44, 44, 42]),  # 64 rows at most: three blocks of unequal size
+        ],
+    )
+    def test_fom_channel_branches(self, impairments, trials, es_n0_db, block_rows, monkeypatch):
+        data = scenario_data(8, 4, "joint-ml", trials=trials, channel={"es_n0_db": es_n0_db, **impairments})
+        scenario = scenario_from_dict(data)
+        blocks = engine_blocks(scenario, monkeypatch)
+        assert [len(block) for block in blocks] == block_rows
+        assert np.array_equal(np.concatenate(blocks), public_chain_rows(scenario))
 
     @pytest.mark.parametrize(
         "index_mode, cp_len, es_n0_db",
@@ -322,6 +338,14 @@ class TestEngineRowsMatchPublicChain:
         ofdm = {"n_subcarriers": 16, "spacing_hz": 1.0, "m": 16, "cp_len": cp_len, "index_mode": index_mode}
         channel = {"es_n0_db": es_n0_db, **IMPAIRED}
         scenario = scenario_from_dict(scenario_data(16, 16, "joint-ml", mode="ofdm", ofdm=ofdm, trials=300, channel=channel))
-        got, want = engine_rows(scenario, monkeypatch), public_chain_rows(scenario)
+        got, want = np.concatenate(engine_blocks(scenario, monkeypatch)), public_chain_rows(scenario)
         assert got.shape == (300, 16 + cp_len)
         assert np.array_equal(got, want)
+
+    def test_ofdm_rotation_only(self, monkeypatch):
+        ofdm = {"n_subcarriers": 16, "spacing_hz": 1.0, "m": 16, "cp_len": 4, "index_mode": "single-active"}
+        channel = {"es_n0_db": 6.0, "phase_rotation": 0.7}
+        scenario = scenario_from_dict(scenario_data(16, 16, "joint-ml", mode="ofdm", ofdm=ofdm, trials=300, channel=channel))
+        got = np.concatenate(engine_blocks(scenario, monkeypatch))
+        assert got.shape == (300, 20)
+        assert np.array_equal(got, public_chain_rows(scenario))

@@ -225,6 +225,9 @@ def awgn_inputs(kind):
         real = values.real[:64].copy()
         real[3], real[6] = -0.0, 0.0
         return real, real, None
+    if kind == "complex64":
+        narrow = values[:64].astype(np.complex64)
+        return narrow, narrow, None
     if kind == "record":
         signal = BasebandSignal(samples=values[:64], sample_rate=64.0, duration=1.0)
         return signal, signal.samples, None
@@ -232,7 +235,7 @@ def awgn_inputs(kind):
     return frame, frame.time_samples, 1.0
 
 
-AWGN_INPUTS = ("complex", "strided", "float", "record", "ofdm")
+AWGN_INPUTS = ("complex", "strided", "float", "complex64", "record", "ofdm")
 
 
 class TestAwgnReference:
@@ -274,6 +277,19 @@ class TestAwgnReference:
         want = rows + scale * (noise[:, 0] + 1j * noise[:, 1])
         assert got.tobytes() == want.tobytes()
         assert ours.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("kind", AWGN_INPUTS)
+    def test_leaves_its_input_unchanged(self, kind):
+        # The noise is written into a fresh array first; the samples are only read.
+        signal, samples, symbol_energy = awgn_inputs(kind)
+        before = samples.copy()
+        if kind == "ofdm":
+            got = frame_awgn(signal, 10.0, np.random.default_rng(5)).time_samples
+        else:
+            got = awgn(signal, 10.0, np.random.default_rng(5), symbol_energy)
+            got = got if isinstance(got, np.ndarray) else got.samples
+        assert not np.shares_memory(got, samples)
+        assert samples.dtype == before.dtype and samples.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("kind", AWGN_INPUTS)
     def test_noiseless_returns_the_input_object(self, kind):

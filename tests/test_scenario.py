@@ -459,7 +459,7 @@ class TestMonteCarlo:
             assert lo <= want <= hi, (row.es_n0_db, row.index_error_rate, want)
 
     @pytest.mark.parametrize("m", [2, 4])
-    @pytest.mark.parametrize("df_t", [0.25, 0.5])
+    @pytest.mark.parametrize("df_t", [0.1, 0.25, 0.5, 0.75])
     def test_joint_ml_block_error_lies_between_the_ml_bounds_at_slight_offsets(self, m, df_t):
         # Below df_t = 1 the tones overlap and no closed form exists; the ML
         # block error lies between the nearest-neighbour and union bounds of
