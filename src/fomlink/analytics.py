@@ -221,8 +221,6 @@ def grid_sweep(spec: GridSpec) -> list[EfficiencyPoint]:
 
 
 def _log_spaced(start: float, stop: float, count: int) -> tuple[float, ...]:
-    if count == 1:
-        return (start,)
     ratio = (stop / start) ** (1.0 / (count - 1))
     values = [start * ratio**i for i in range(count)]
     values[-1] = stop

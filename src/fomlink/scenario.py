@@ -165,20 +165,15 @@ class MetricsRow:
 METRICS_HEADER = ",".join(f.name for f in fields(MetricsRow))
 
 
-def _parse_channel(data) -> ChannelSpec:
-    values = _checked_fields(ChannelSpec, data, "channel", ScenarioError)
+def _parse_record(cls, data, what: str, prefix: str = ""):
+    """Record ``cls`` from parsed JSON ``data`` (null es_n0_db is +inf); its ValueError is a ScenarioError after ``prefix``."""
+    values = _checked_fields(cls, data, what, ScenarioError)
+    if "es_n0_db" in values:
+        values["es_n0_db"] = _inf_if_null(values["es_n0_db"])
     try:
-        return ChannelSpec(**{**values, "es_n0_db": _inf_if_null(values["es_n0_db"])})
+        return cls(**values)
     except ValueError as exc:
-        raise ScenarioError(f"bad channel spec: {exc}") from exc
-
-
-def _parse_ofdm(data) -> OfdmConfig:
-    checked = _checked_fields(OfdmConfig, data, "ofdm", ScenarioError)
-    try:
-        return OfdmConfig(**checked)
-    except ValueError as exc:
-        raise ScenarioError(f"bad ofdm spec: {exc}") from exc
+        raise ScenarioError(f"{prefix}{exc}") from exc
 
 
 def _parse_sweep(data) -> Sweep:
@@ -197,12 +192,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     go), null meaning noiseless, and the ``bad channel spec:``/``bad ofdm spec:`` prefixes.
     """
     data = _checked_fields(Scenario, data, "scenario", ScenarioError)
-    try:
-        system = SystemConfig.from_dict(data["system"])
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    channel = _parse_channel(data["channel"])
-    ofdm = _parse_ofdm(data["ofdm"]) if data["ofdm"] is not None else None
+    system = _parse_record(SystemConfig, data["system"], "system config")
+    channel = _parse_record(ChannelSpec, data["channel"], "channel", "bad channel spec: ")
+    ofdm = _parse_record(OfdmConfig, data["ofdm"], "ofdm", "bad ofdm spec: ") if data["ofdm"] is not None else None
     sweep = _parse_sweep(data["sweep"]) if data["sweep"] is not None else None
     return Scenario(**{**data, "system": system, "channel": channel, "ofdm": ofdm, "sweep": sweep})
 
@@ -224,13 +216,12 @@ def _cross_validate(scenario: Scenario) -> None:
     elif scenario.ofdm is not None:
         raise ScenarioError(f"an ofdm object needs mode 'ofdm', got mode {scenario.mode!r}")
     spans = []  # samples per row and sample rate of each point, over which the CFO phasor runs
-    # A df_t sweep builds one config per point; an es_n0_db sweep shares the scenario's.
+    # A df_t sweep derives one config per point from the scenario's, which is checked first;
+    # an es_n0_db sweep shares the scenario's.
+    if scenario.sweep is not None and scenario.sweep.axis == "df_t":
+        _check_config(scenario.system)
     for config in {id(config): config for config, _ in _points(scenario)}.values():
-        report = validate_config(config)
-        if report.hard_errors:
-            raise ScenarioError(
-                f"invalid system config (delta_f_hz={config.delta_f_hz!r}): " + "; ".join(report.hard_errors)
-            )
+        _check_config(config)
         samples = config.samples_per_symbol
         if scenario.detector == "two-stage" and scenario.zero_pad_factor * config.n * samples > MAX_TABLE_ENTRIES:
             raise ScenarioError(
@@ -261,6 +252,12 @@ def _cross_validate(scenario: Scenario) -> None:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phasor is an input error, not a warning
             if not all(np.isfinite(_cfo_phasor(delta_hz, *span)).all() for span in spans):
                 raise ScenarioError(f"carrier_freq_error = {delta_hz!r} Hz overflows its phasor within one symbol interval")
+
+
+def _check_config(config: SystemConfig) -> None:
+    report = validate_config(config)
+    if report.hard_errors:
+        raise ScenarioError(f"invalid system config (delta_f_hz={config.delta_f_hz!r}): " + "; ".join(report.hard_errors))
 
 
 def _points(scenario: Scenario) -> list[tuple[SystemConfig, float]]:

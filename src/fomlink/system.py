@@ -162,19 +162,6 @@ def _is_real(value) -> bool:
         return False
 
 
-def _check_counts(config: SystemConfig, report: ValidationReport) -> bool:
-    """Hard checks on n and m.  Returns True when both are usable."""
-    good = True
-    n, m = config.n, config.m
-    if not _is_power_of_two(n):
-        report.hard_errors.append(f"n must be a power-of-two integer >= 1, got {n!r}")
-        good = False
-    if not _is_power_of_two(m) or m not in SUPPORTED_M:
-        report.hard_errors.append(f"m must be one of {SUPPORTED_M}, got {m!r}")
-        good = False
-    return good
-
-
 def validate_config(config: SystemConfig) -> ValidationReport:
     """Check a config and return every violated rule.
 
@@ -190,11 +177,14 @@ def validate_config(config: SystemConfig) -> ValidationReport:
     next to the band itself (delta_b / bandwidth > 0.5).
     """
     report = ValidationReport()
-    counts_ok = _check_counts(config, report)
-    if counts_ok and config.n * config.m > MAX_TABLE_ENTRIES:
-        report.hard_errors.append(
-            f"n * m = {config.n * config.m} exceeds {MAX_TABLE_ENTRIES}, the largest slicing table simulated"
-        )
+    n, m = config.n, config.m
+    if not _is_power_of_two(n):
+        report.hard_errors.append(f"n must be a power-of-two integer >= 1, got {n!r}")
+    if not _is_power_of_two(m) or m not in SUPPORTED_M:
+        report.hard_errors.append(f"m must be one of {SUPPORTED_M}, got {m!r}")
+    counts_ok = not report.hard_errors
+    if counts_ok and n * m > MAX_TABLE_ENTRIES:
+        report.hard_errors.append(f"n * m = {n * m} exceeds {MAX_TABLE_ENTRIES}, the largest slicing table simulated")
 
     scalars_ok = True
     for name, value in (

@@ -206,6 +206,11 @@ class TestGrid:
         with pytest.raises(ValueError, match="grid of 4196352 points exceeds 4194304"):
             GridSpec(m_values=[4] * 2049, n_values=[4] * 2048, eta_values=[0.1])
 
+    @pytest.mark.parametrize("axis", ["m_values", "n_values", "eta_values"])
+    def test_an_empty_axis_is_refused(self, axis):
+        with pytest.raises(ValueError, match=f"^{axis} must not be empty$"):
+            GridSpec(**{"m_values": [4], "n_values": [4], "eta_values": [0.1], axis: []})
+
     def test_mode_follows_the_axes(self):
         assert "mode" not in {f.name for f in fields(GridSpec)}
         assert GridSpec(m_values=[4], n_values=[1, 2], eta_values=[0.1]).mode == "vary-m-n"

@@ -91,6 +91,11 @@ class TestEfficiency:
         assert main(["efficiency", "--m", "notanumber"]) == EXIT_INVALID
         assert "--m" in capsys.readouterr().err
 
+    def test_a_range_needs_three_parts(self, capsys):
+        assert main(["efficiency", "--m", "1:2"]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert "ranges are start:stop:steps" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize(
         "axes, needle",
         [
@@ -214,6 +219,16 @@ class TestSimulate:
         capsys.readouterr()
         assert len(headers[0]) == 8
         assert headers[0] == headers[1]
+
+    def test_zero_workers_leave_the_out_and_dump_files_as_they_were(self, tmp_path, capsys):
+        config = scenario_file(tmp_path, trials=8)
+        out, dump = tmp_path / "metrics.csv", tmp_path / "dump.csv"
+        out.write_text("earlier metrics\n")
+        dump.write_text("earlier dump\n")
+        argv = ["simulate", "--config", str(config), "--out", str(out), "--dump-signals", str(dump), "--workers", "0"]
+        assert main(argv) == EXIT_INVALID
+        assert "--workers must be >= 1, got 0" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier metrics\n" and dump.read_bytes() == b"earlier dump\n"
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -462,7 +477,12 @@ _FUZZ_VALUES = (
     {"df_t": [1.0, 64.0]}, {"es_n0_db": [None, 0]}, {"n_subcarriers": 8, "spacing_hz": 1.0, "m": 4},
 )
 _OFDM_FRAME = {"n_subcarriers": 8, "spacing_hz": 1.0, "m": 4, "cp_len": 2, "index_mode": "single-silent"}
-_FUZZ_BASES = (scenario_data(trials=4), scenario_data(trials=4, mode="ofdm", ofdm=_OFDM_FRAME))
+_FUZZ_BASES = (
+    scenario_data(trials=4),
+    scenario_data(trials=4, mode="ofdm", ofdm=_OFDM_FRAME),
+    scenario_data(trials=4, sweep={"df_t": [0.5, 1.0]}),
+)
+_FUZZ_BASE_IDS = ("fom", "ofdm", "fom-df_t")
 
 
 def _paths(node, prefix=()):
@@ -528,12 +548,12 @@ def _check_accepted_run(data, csv, edit):
 
 
 class TestSingleFieldEdits:
-    """Every single-field edit of both fuzz bases (29 key paths x 33 values x 2 bases), checked in one table."""
+    """Every single-field edit of the fuzz bases (29 key paths x 33 values x 3 bases), checked in one table."""
 
     @pytest.mark.parametrize(
         "base, path",
         [(base, path) for base in _FUZZ_BASES for path in _FUZZ_PATHS],
-        ids=[f"{base.get('mode', 'fom')}-{'.'.join(path) or 'root'}" for base in _FUZZ_BASES for path in _FUZZ_PATHS],
+        ids=[f"{name}-{'.'.join(path) or 'root'}" for name in _FUZZ_BASE_IDS for path in _FUZZ_PATHS],
     )
     def test_every_single_field_edit(self, tmp_path, base, path):
         for value in _FUZZ_VALUES:

@@ -546,7 +546,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize(
         "overrides, points",
-        [({}, 1), ({"sweep": {"df_t": [0.25, 0.5, 1.0]}}, 3), ({"mode": "ofdm"}, 1), ({"detector": "noncoherent"}, 1)],
+        [({}, 1), ({"sweep": {"df_t": [0.25, 0.5, 1.0]}}, 4), ({"mode": "ofdm"}, 1), ({"detector": "noncoherent"}, 1)],
     )
     def test_simulate_validates_each_point_once(self, overrides, points, tmp_path, monkeypatch):
         calls = []
