@@ -98,19 +98,15 @@ def fom_to_ofdm_params(config: SystemConfig, index_mode: str = "single-active", 
     )
 
 
-def _synthesize_frame(cfg: OfdmConfig, table: np.ndarray, index: int, pattern: int, out: np.ndarray) -> np.ndarray:
-    """Write into ``out`` the frame with QAM point ``table[pattern]`` and subcarrier ``index`` (0-based) active or silent.
+def _synthesize_frame(cfg: OfdmConfig, point: complex, index: int, bins: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the frame with QAM ``point`` and subcarrier ``index`` (0-based) active or silent.
 
-    The payload is the orthonormal IDFT of the bin vector; its tail is
-    copied in front as the cyclic prefix.
+    ``bins`` (n_subcarriers, reused from frame to frame) takes the bin vector;
+    the payload is its orthonormal IDFT, whose tail is copied in front as the cyclic prefix.
     """
-    a = table[pattern]
-    if cfg.index_mode == "single-active":
-        bins = np.zeros(cfg.n_subcarriers, dtype=np.complex128)
-        bins[index] = a
-    else:
-        bins = np.full(cfg.n_subcarriers, a, dtype=np.complex128)
-        bins[index] = 0.0
+    active = cfg.index_mode == "single-active"
+    bins.fill(0.0 if active else point)
+    bins[index] = point if active else 0.0
     np.fft.ifft(bins, norm="ortho", out=out[cfg.cp_len :])
     out[: cfg.cp_len] = out[cfg.n_subcarriers :]
     return out
@@ -119,7 +115,8 @@ def _synthesize_frame(cfg: OfdmConfig, table: np.ndarray, index: int, pattern: i
 def modulate_frame(block: DataBlock, cfg: OfdmConfig) -> OfdmFrame:
     """Orthonormal IDFT of the index-modulated bin vector, tail copied as prefix."""
     index, pattern = _block_value(block, cfg.n_subcarriers, cfg.m)
-    samples = _synthesize_frame(cfg, constellation(cfg.m), index, pattern, np.empty(cfg.frame_len, dtype=np.complex128))
+    bins, samples = np.empty(cfg.n_subcarriers, dtype=np.complex128), np.empty(cfg.frame_len, dtype=np.complex128)
+    _synthesize_frame(cfg, constellation(cfg.m)[pattern], index, bins, samples)
     return OfdmFrame(time_samples=samples, sample_rate=cfg.sample_rate)
 
 
@@ -132,14 +129,12 @@ def _demodulate_rows(rows: np.ndarray, cfg: OfdmConfig):
     if cfg.index_mode == "single-active":
         estimate = _at(bins, best)
     else:
-        # The active bins of each frame in bin order, so the sums add as a 1-D sum over them does.
-        trials = np.arange(len(rows))[:, None]
-        others = np.arange(cfg.n_subcarriers - 1)
-        active = others + (others >= best[:, None])
-        weights = energies[trials, active]
+        # Each frame's active bins in bin order (a mask selects row-major), so the sums add as a 1-D sum over them does.
+        active = np.arange(cfg.n_subcarriers) != best[:, None]
+        weights = energies[active].reshape(len(rows), cfg.n_subcarriers - 1)
         total = weights.sum(axis=-1)
         estimate = np.zeros(len(rows), dtype=np.complex128)
-        np.divide((weights * bins[trials, active]).sum(axis=-1), total, out=estimate, where=total > 0)
+        np.divide((weights * bins[active].reshape(weights.shape)).sum(axis=-1), total, out=estimate, where=total > 0)
     return best, _demap_patterns(estimate, cfg.m), _at(ranking, best), margin
 
 
@@ -172,8 +167,9 @@ def _ofdm_link(cfg: OfdmConfig) -> _Link:
     table = constellation(cfg.m)
 
     def transmit(indices: np.ndarray, patterns: np.ndarray, rows: np.ndarray) -> None:
-        for index, pattern, row in zip(indices.tolist(), patterns.tolist(), rows):
-            _synthesize_frame(cfg, table, index, pattern, row)
+        bins = np.empty(cfg.n_subcarriers, dtype=np.complex128)
+        for index, point, row in zip(indices.tolist(), table[patterns].tolist(), rows):
+            _synthesize_frame(cfg, point, index, bins, row)
 
     detect = functools.partial(_demodulate_rows, cfg=cfg)
     return _Link(cfg.frame_len, cfg.sample_rate, transmit, detect, max(1, _BLOCK_SAMPLES // cfg.frame_len), _SYMBOL_ENERGY)

@@ -241,12 +241,13 @@ def _slicer(m: int, count: int):
 
 
 def _pick(metrics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest-metric index along the last axis (ties to the smaller index) and the runner-up gap (0 when n == 1)."""
-    order = metrics.argsort(axis=-1, kind="stable")
+    """Smallest-metric index along the last axis (ties to the smaller index) and the runner-up gap (0 when n == 1), bit for bit
+    a stable argsort's; a partition may swap a -0.0/0.0 tie's signs on long rows, but each kernel's metric has one sign at zero."""
+    best = metrics.argmin(axis=-1)
     if metrics.shape[-1] == 1:
-        return order[..., 0], np.zeros(metrics.shape[:-1])[()]
-    low = np.take_along_axis(metrics, order[..., :2], axis=-1)
-    return order[..., 0], low[..., 1] - low[..., 0]
+        return best, np.zeros(metrics.shape[:-1])[()]
+    low = np.partition(metrics, 1, axis=-1)
+    return best, low[..., 1] - low[..., 0]
 
 
 def _at(values: np.ndarray, best: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, fields, replace
 from typing import IO, Iterable
 
@@ -66,6 +67,7 @@ SWEEP_AXES = ("es_n0_db", "df_t")
 
 _CHUNK = 1024
 _DUMP_BLOCKS = 8
+_CHECKED: ContextVar[list[ValidationReport]] = ContextVar("_CHECKED")  # where `_check_config` puts its reports, when set
 _SEED_SCHEME = f"chunk c of {_CHUNK} trials draws from default_rng(SeedSequence([seed, c])) its payload values, then each trial's noise"
 
 
@@ -256,6 +258,7 @@ def _cross_validate(scenario: Scenario) -> None:
 
 def _check_config(config: SystemConfig) -> None:
     report = validate_config(config)
+    _CHECKED.get([]).append(report)
     if report.hard_errors:
         raise ScenarioError(f"invalid system config (delta_f_hz={config.delta_f_hz!r}): " + "; ".join(report.hard_errors))
 
@@ -273,28 +276,28 @@ def _points(scenario: Scenario) -> list[tuple[SystemConfig, float]]:
 def validate_scenario_or_config(data: dict) -> ValidationReport:
     """Validation report for either a bare system config or a full scenario.
 
-    Scenario-level problems (bad detector, bad sweep, inconsistent modes)
-    are reported as hard errors alongside the system config's own report.
-    The soft warnings are the system config's, then those of each config a
-    valid scenario's df_t sweep runs, each warning once, in sweep order.
+    Scenario-level problems (bad detector, bad sweep, inconsistent modes) are
+    hard errors alongside the system config's own.  The soft warnings are the
+    system's, then those of each config a valid scenario's df_t sweep runs, each
+    once, in sweep order, from the reports the scenario's own checks made.
     """
-    report = ValidationReport()
-    swept: list[SystemConfig] = []
+    report, checked = ValidationReport(), []  # the system's report, then each swept config's, as the scenario checked them
     if isinstance(data, dict) and "system" in data:
+        context = copy_context()  # `_CHECKED` is set in this copy of the context only
+        context.run(_CHECKED.set, checked)
         try:
-            swept = [config for config, _ in _points(scenario_from_dict(data))]
+            context.run(scenario_from_dict, data)
         except ScenarioError as exc:
             report.hard_errors.append(str(exc))
+            del checked[1:]  # a rejected scenario shows its system's warnings only
         data = data["system"]
     try:
-        inner = validate_config(SystemConfig.from_dict(data))
+        system = checked[0] if checked else validate_config(SystemConfig.from_dict(data))
     except ValueError as exc:
-        inner = ValidationReport(hard_errors=[str(exc)])
+        system = ValidationReport(hard_errors=[str(exc)])
     # A system error inside a scenario is already in the scenario error's message.
-    report.hard_errors.extend(e for e in inner.hard_errors if not any(e in r for r in report.hard_errors))
-    for warning in inner.soft_warnings + [w for config in swept for w in validate_config(config).soft_warnings]:
-        if warning not in report.soft_warnings:
-            report.soft_warnings.append(warning)
+    report.hard_errors.extend(e for e in system.hard_errors if not any(e in r for r in report.hard_errors))
+    report.soft_warnings.extend(dict.fromkeys(w for config_report in [system, *checked[1:]] for w in config_report.soft_warnings))
     return report
 
 

@@ -513,9 +513,15 @@ def bits_of(pattern, m):
     return tuple((pattern >> (width - 1 - i)) & 1 for i in range(width))
 
 
+def reference_pick(metrics):
+    """The literal rule: the smallest metric wins, ties go to the smaller index, margin = second - first (0.0 when n == 1)."""
+    order = np.argsort(metrics, kind="stable")
+    return int(order[0]), metrics[order[1]] - metrics[order[0]] if len(metrics) > 1 else 0.0
+
+
 def reference_joint_ml(signal, plan, m):
     metrics, patterns = reference_slice(matched_filter_bank(signal, plan), m, len(signal))
-    best, margin = _pick(metrics)
+    best, margin = reference_pick(metrics)
     return DetectionResult(best + 1, bits_of(patterns[best], m), float(metrics[best]), margin)
 
 
@@ -530,7 +536,7 @@ def reference_two_stage(signal, plan, m, zero_pad_factor=16):
         region = spectrum[nearest == i]
         if len(region):
             peaks[i] = region.max()
-    best, margin = _pick(-peaks)
+    best, margin = reference_pick(-peaks)
     bits = demap_symbol(matched_filter_bank(signal, plan)[best] / count, m)
     return DetectionResult(best + 1, bits, float(-peaks[best]), margin)
 
@@ -544,7 +550,7 @@ def reference_oracle(signal, plan, m):
         totals = (np.abs(signal.samples[None, :] - table[:, None] * tones[i][None, :]) ** 2).sum(axis=1)
         patterns.append(int(np.argmin(totals)))
         per_offset[i] = totals[patterns[-1]]
-    best, margin = _pick(per_offset)
+    best, margin = reference_pick(per_offset)
     return DetectionResult(best + 1, bits_of(patterns[best], m), float(per_offset[best]), margin)
 
 
@@ -560,6 +566,33 @@ def zero_signal(config):
         sample_rate=config.sample_rate,
         duration=1.0 / config.symbol_rate,
     )
+
+
+# Tie-heavy metric arrays, each with one sign at zero, as every kernel's metric has.
+_TIED_METRICS = {
+    "tied-minimum": [3.0, 1.0, 2.0, 1.0],
+    "tied-minimum-last": [2.0, 5.0, 0.5, 0.5],
+    "all-equal": [4.0, 4.0, 4.0, 4.0, 4.0],
+    "n1": [7.0],
+    "n1-rows": [[7.0], [-1.0], [0.0]],
+    "n2-tied": [1.0, 1.0],
+    "n2-rows": [[2.0, 1.0], [1.0, 2.0], [3.0, 3.0], [-0.0, -0.0]],
+    "all-equal-rows": [[0.0] * 9, [-2.5] * 9, [1e300] * 9],
+    "negative-zeros": [-0.0] * 18 + [1.0],
+    "long-rows-of-few-values": np.random.default_rng(3).integers(0, 3, (43, 64)).astype(float),
+    "long-negated-rows": -np.random.default_rng(4).integers(0, 2, (64, 8)).astype(float),
+}
+
+
+class TestPick:
+    @pytest.mark.parametrize("metrics", list(_TIED_METRICS.values()), ids=list(_TIED_METRICS))
+    def test_pick_is_the_stable_sort_rule_bit_for_bit(self, metrics):
+        metrics = np.asarray(metrics, dtype=float)
+        best, margin = _pick(metrics)
+        assert np.shape(best) == np.shape(margin) == metrics.shape[:-1]
+        want = [reference_pick(row) for row in metrics.reshape(-1, metrics.shape[-1])]
+        assert np.reshape(best, -1).tolist() == [b for b, _ in want]
+        assert np.reshape(margin, -1).tobytes() == np.array([gap for _, gap in want]).tobytes()
 
 
 class TestKernelsMatchPerOffsetLoops:

@@ -234,6 +234,22 @@ class TestValidateEntryPoint:
         assert report.hard_errors == []
         assert report.soft_warnings
 
+    @pytest.mark.parametrize(
+        "overrides, configs",
+        [({}, 1), ({"sweep": {"df_t": [0.25, 0.5, 1.0]}}, 4), ({"mode": "ofdm"}, 1), ({"detector": "guesswork"}, 1)],
+    )
+    def test_validate_checks_each_config_once(self, overrides, configs, monkeypatch):
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return validate_config(config)
+
+        for module in (fomlink.scenario, fomlink.system):
+            monkeypatch.setattr(module, "validate_config", counted)
+        validate_scenario_or_config(scenario_dict(**overrides))
+        assert len(calls) == configs
+
     def test_both_layers_report(self):
         data = scenario_dict(detector="guesswork")
         data["system"]["n"] = 3
