@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
+from ._version import __version__
 from .system import MAX_TABLE_ENTRIES
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "grid_sweep",
     "preset_grid",
     "write_efficiency_csv",
+    "run_efficiency_grid",
 ]
 
 CSV_HEADER = "m,n,eta,gamma_ee,gamma_se,e0,es"
@@ -75,9 +77,19 @@ def _check_delta_b(delta_b_hz: float) -> None:
         raise ValueError(f"delta_b_hz must be finite and nonnegative, got {delta_b_hz!r}")
 
 
+# The closed forms, unchecked: each public function checks its own inputs, and GridSpec the grid walk's.
 def _index_term(m: float, n: float) -> float:
     # log_m(n), the index bits per symbol bit.
     return math.log2(n) / math.log2(m)
+
+
+def _ratios(term: float, eta: float) -> tuple[float, float]:
+    # (gamma_ee, gamma_se) for `term` index bits per symbol bit.
+    return 1.0 / (1.0 + term), (1.0 + term) / (1.0 + eta)
+
+
+def _efficiency(rate: float, bits: float, band: float) -> float:
+    return rate * bits / band
 
 
 def energy_efficiency_ratio(m: float, n: float) -> float:
@@ -87,31 +99,29 @@ def energy_efficiency_ratio(m: float, n: float) -> float:
     n == 1 (no index bits, nothing gained or spent).
     """
     _check_mn(m, n)
-    return 1.0 / (1.0 + _index_term(m, n))
+    return _ratios(_index_term(m, n), 0.0)[0]
 
 
 def symbol_spectral_efficiency(symbol_rate: float, m: float, bandwidth_hz: float) -> float:
     """Baseline bits/s/Hz: R * log2(m) / B."""
     _check_rates(symbol_rate, bandwidth_hz)
     _check_m(m)
-    return symbol_rate * math.log2(m) / bandwidth_hz
+    return _efficiency(symbol_rate, math.log2(m), bandwidth_hz)
 
 
-def fom_spectral_efficiency(
-    symbol_rate: float, m: float, n: float, bandwidth_hz: float, delta_b_hz: float
-) -> float:
+def fom_spectral_efficiency(symbol_rate: float, m: float, n: float, bandwidth_hz: float, delta_b_hz: float) -> float:
     """FOM bits/s/Hz: R * (log2(m) + log2(n)) / (B + delta_b)."""
     _check_rates(symbol_rate, bandwidth_hz)
     _check_delta_b(delta_b_hz)
     _check_mn(m, n)
-    return symbol_rate * (math.log2(m) + math.log2(n)) / (bandwidth_hz + delta_b_hz)
+    return _efficiency(symbol_rate, math.log2(m) + math.log2(n), bandwidth_hz + delta_b_hz)
 
 
 def spectral_efficiency_ratio(m: float, n: float, eta: float) -> float:
     """Spectral efficiency gain over the baseline: (1 + log_m n) / (1 + eta)."""
     _check_mn(m, n)
     _check_eta(eta)
-    return (1.0 + _index_term(m, n)) / (1.0 + eta)
+    return _ratios(_index_term(m, n), eta)[1]
 
 
 def min_tx_count(m: float, eta: float) -> float:
@@ -129,8 +139,7 @@ def hybrid_ratios(m: float, n: float, eta: float) -> tuple[float, float]:
     """
     _check_mn(m, n)
     _check_eta(eta)
-    term = 2.0 * _index_term(m, n)
-    return 1.0 / (1.0 + term), (1.0 + term) / (1.0 + eta)
+    return _ratios(2.0 * _index_term(m, n), eta)
 
 
 @dataclass(frozen=True)
@@ -156,7 +165,8 @@ class GridSpec:
     absolute spectral efficiencies e0/es are emitted as well, with delta_b
     taken as eta * bandwidth_hz.  The grid may hold at most
     system.MAX_TABLE_ENTRIES points, and each value is checked here against
-    the rules the per-point functions apply, so no point of a built grid fails.
+    the rules the public functions apply, with e0 and es finite at every point,
+    so the grid walk checks nothing again.
     """
 
     m_values: tuple[float, ...]
@@ -176,8 +186,8 @@ class GridSpec:
         size = len(self.m_values) * len(self.n_values) * len(self.eta_values)
         if size > MAX_TABLE_ENTRIES:
             raise ValueError(f"an m x n x eta grid of {size} points exceeds {MAX_TABLE_ENTRIES}, the largest grid swept")
-        # Each value once, by the rules _point's functions apply; a bad eta fails
-        # as its delta_b when rates are set, as its point would.
+        # Each value once, by the public functions' rules (a bad eta fails as its delta_b when rates are set); then e0
+        # and es at their largest: e0 peaks at the largest m, es at the largest m and n and the smallest eta.
         if self.bandwidth_hz is not None:
             _check_rates(self.symbol_rate, self.bandwidth_hz)
         for m in self.m_values:
@@ -188,6 +198,10 @@ class GridSpec:
             if self.bandwidth_hz is not None:
                 _check_delta_b(eta * self.bandwidth_hz)
             _check_eta(eta)
+        if self.bandwidth_hz is not None:
+            top = _point(self, max(self.m_values), max(self.n_values), min(self.eta_values))
+            if not (math.isfinite(top.e0) and math.isfinite(top.es)):
+                raise ValueError(f"e0 and es must be finite, got {top.e0!r} and {top.es!r} at m={top.m!r}, n={top.n!r}, eta={top.eta!r}")
 
     @property
     def mode(self) -> str:
@@ -195,19 +209,13 @@ class GridSpec:
 
 
 def _point(spec: GridSpec, m: float, n: float, eta: float) -> EfficiencyPoint:
+    """One point from the formulas alone: `GridSpec` has checked every value it takes."""
+    gamma_ee, gamma_se = _ratios(_index_term(m, n), eta)
     e0 = es = None
-    if spec.symbol_rate is not None and spec.bandwidth_hz is not None:
-        e0 = symbol_spectral_efficiency(spec.symbol_rate, m, spec.bandwidth_hz)
-        es = fom_spectral_efficiency(spec.symbol_rate, m, n, spec.bandwidth_hz, eta * spec.bandwidth_hz)
-    return EfficiencyPoint(
-        m=m,
-        n=n,
-        eta=eta,
-        gamma_ee=energy_efficiency_ratio(m, n),
-        gamma_se=spectral_efficiency_ratio(m, n, eta),
-        e0=e0,
-        es=es,
-    )
+    if spec.bandwidth_hz is not None:
+        e0 = _efficiency(spec.symbol_rate, math.log2(m), spec.bandwidth_hz)
+        es = _efficiency(spec.symbol_rate, math.log2(m) + math.log2(n), spec.bandwidth_hz + eta * spec.bandwidth_hz)
+    return EfficiencyPoint(m=m, n=n, eta=eta, gamma_ee=gamma_ee, gamma_se=gamma_se, e0=e0, es=es)
 
 
 def _walk_grid(spec: GridSpec) -> Iterator[EfficiencyPoint]:
@@ -244,10 +252,9 @@ def preset_grid(name: str) -> GridSpec:
     """Canonical sweep grids: power-of-two m up to 4096 and n up to 128,
     with eta fixed at 0.01 (fig4a) or 0.1 (fig4b), or 25 log-spaced eta in
     [0.001, 0.1] at n = 128 (fig5)."""
-    try:
-        return _PRESETS[name]
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r}; choose from {', '.join(_PRESETS)}") from None
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {', '.join(_PRESETS)}")
+    return _PRESETS[name]
 
 
 def _fmt(value: float | None) -> str:
@@ -264,5 +271,10 @@ def write_efficiency_csv(points: Iterable[EfficiencyPoint], out: IO[str], commen
             out.write(f"# {line}\n")
     out.write(CSV_HEADER + "\n")
     for p in points:
-        row = (p.m, p.n, p.eta, p.gamma_ee, p.gamma_se, p.e0, p.es)
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+        out.write(",".join(_fmt(v) for v in (p.m, p.n, p.eta, p.gamma_ee, p.gamma_se, p.e0, p.es)) + "\n")
+
+
+def run_efficiency_grid(spec: GridSpec, out: IO[str]) -> None:
+    """Write the efficiency CSV with a provenance comment, each row as the grid walk yields it."""
+    comment = f"fomlink {__version__} efficiency grid: mode={spec.mode} m={list(spec.m_values)} n={list(spec.n_values)} eta={list(spec.eta_values)}"
+    write_efficiency_csv(_walk_grid(spec), out, comment=comment)

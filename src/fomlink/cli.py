@@ -21,10 +21,9 @@ from dataclasses import replace
 import numpy as np
 
 from ._version import __version__
-from .analytics import GridSpec, PRESET_NAMES, preset_grid
+from .analytics import GridSpec, PRESET_NAMES, preset_grid, run_efficiency_grid
 from .scenario import (
     ScenarioError,
-    run_efficiency_grid,
     run_monte_carlo,
     scenario_from_dict,
     validate_scenario_or_config,
@@ -94,10 +93,7 @@ def _grid_from_args(args: argparse.Namespace) -> GridSpec:
     if chosen:
         if (args.m, args.n, args.eta) != (None, None, None):
             raise ScenarioError("presets fix --m/--n/--eta; drop the explicit axes")
-        grid = preset_grid(chosen[0])
-        if args.symbol_rate is not None or args.bandwidth is not None:
-            grid = replace(grid, symbol_rate=args.symbol_rate, bandwidth_hz=args.bandwidth)
-        return grid
+        return replace(preset_grid(chosen[0]), symbol_rate=args.symbol_rate, bandwidth_hz=args.bandwidth)
     if args.m is None:
         raise ScenarioError("efficiency needs --m (plus --n/--eta) or one preset flag")
     return GridSpec(

@@ -47,7 +47,7 @@ from .system import (
     _is_real,
     validate_config,
 )
-from .analytics import GridSpec, _fmt, _walk_grid, write_efficiency_csv
+from .analytics import _fmt
 
 __all__ = [
     "Scenario",
@@ -57,7 +57,6 @@ __all__ = [
     "scenario_from_dict",
     "scenario_from_json",
     "run_monte_carlo",
-    "run_efficiency_grid",
     "write_metrics_csv",
     "wilson_interval",
 ]
@@ -450,9 +449,3 @@ def write_metrics_csv(rows: Iterable[MetricsRow], scenario: Scenario, out: IO[st
     out.write(METRICS_HEADER + "\n")
     for r in rows:
         out.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in _field_values(r).values()) + "\n")
-
-
-def run_efficiency_grid(spec: GridSpec, out: IO[str]) -> None:
-    """Write the efficiency CSV with a provenance comment, each row as the grid walk yields it."""
-    comment = f"fomlink {__version__} efficiency grid: mode={spec.mode} m={list(spec.m_values)} n={list(spec.n_values)} eta={list(spec.eta_values)}"
-    write_efficiency_csv(_walk_grid(spec), out, comment=comment)

@@ -249,13 +249,12 @@ def build_frequency_plan(config: SystemConfig) -> FrequencyPlan:
 
 def _frequency_plan(config: SystemConfig) -> FrequencyPlan:
     """`build_frequency_plan` for a config that has already passed `validate_config`."""
-    delta_f = config.delta_f_hz
-    offsets = tuple(k * delta_f for k in range(config.n))
-    return FrequencyPlan(offsets=offsets, delta_b=(config.n - 1) * delta_f)
+    offsets = tuple(k * config.delta_f_hz for k in range(config.n))
+    return FrequencyPlan(offsets=offsets, delta_b=config.delta_b_hz)
 
 
 def eta(config: SystemConfig) -> float:
     """Relative bandwidth expansion (n - 1) * delta_f / bandwidth."""
     if not config.bandwidth_hz > 0:
         raise ValueError(f"bandwidth_hz must be positive, got {config.bandwidth_hz!r}")
-    return (config.n - 1) * config.delta_f_hz / config.bandwidth_hz
+    return config.delta_b_hz / config.bandwidth_hz

@@ -12,6 +12,18 @@ def noncoherent_fsk_index_error(n, es_n0_db):
     return sum((-1) ** (k + 1) * math.comb(n - 1, k) / (k + 1) * math.exp(-k / (k + 1) * es_n0) for k in range(1, n))
 
 
+def noncoherent_qam_index_error(n, m, es_n0_db):
+    """Index error rate of noncoherent orthogonal n-FSK whose tones carry unit-average-energy square m-QAM:
+    the index decision sees only |a| of the sent point a, so it errs as noncoherent n-FSK at |a|^2 Es/N0,
+    averaged over the m points.  The levels are built here, not read from the codec, so a scale error there shows."""
+    side = math.isqrt(m)
+    assert side * side == m, f"square QAM only, got m={m}"
+    levels = np.arange(1 - side, side, 2)  # the PAM levels along each axis
+    energies = (levels[:, None] ** 2 + levels[None, :] ** 2).ravel()
+    energies = energies / energies.mean()
+    return float(np.mean([noncoherent_fsk_index_error(n, es_n0_db + 10 * math.log10(e)) for e in energies]))
+
+
 def biorthogonal_block_error(dims, es_n0_db):
     """Symbol error rate of coherent biorthogonal signalling in `dims` dimensions (2 * dims signals; Proakis 4.4):
     P = 1 - integral_0^inf phi((x-1)/s)/s * erf(x/(s sqrt 2))^(dims-1) dx, with s^2 = 1/(2 Es/N0),

@@ -1,5 +1,6 @@
 """Closed-form efficiency ratios and grid sweeps."""
 
+import io
 import math
 from dataclasses import fields
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fomlink import analytics
 from fomlink.analytics import (
     CSV_HEADER,
     GridSpec,
@@ -18,6 +20,7 @@ from fomlink.analytics import (
     hybrid_ratios,
     min_tx_count,
     preset_grid,
+    run_efficiency_grid,
     spectral_efficiency_ratio,
     symbol_spectral_efficiency,
     write_efficiency_csv,
@@ -227,12 +230,56 @@ class TestGrid:
             ({"eta_values": [-1.0], "symbol_rate": 1.0, "bandwidth_hz": 1.0}, "delta_b_hz must be finite and nonnegative, got -1.0"),
             ({"eta_values": [1e300], "symbol_rate": 1.0, "bandwidth_hz": 1e10}, "delta_b_hz must be finite and nonnegative, got inf"),
             ({"symbol_rate": math.inf, "bandwidth_hz": 1.0}, "symbol_rate and bandwidth_hz must be finite and positive"),
+            ({"symbol_rate": 1e308, "bandwidth_hz": 1e-10}, "e0 and es must be finite, got inf and inf at m=4, n=2, eta=0.1"),
+            ({"m_values": [2], "eta_values": [1.5], "symbol_rate": 1e308, "bandwidth_hz": 1e308}, "e0 and es must be finite, got 1.0 and nan at m=2, n=2, eta=1.5"),
+            (
+                {"m_values": [4, 2.0**40, 16], "n_values": [1, 8, 2], "eta_values": [0.0], "symbol_rate": 1e307, "bandwidth_hz": 0.25},
+                "e0 and es must be finite, got inf and inf at m=1099511627776.0, n=8, eta=0.0",
+            ),
         ],
     )
     def test_every_value_is_checked_when_the_grid_is_built(self, overrides, needle):
         with pytest.raises(ValueError) as raised:
             GridSpec(**{"m_values": [4], "n_values": [2], "eta_values": [0.1], **overrides})
         assert str(raised.value) == needle
+
+    def test_rates_are_held_to_the_rows_they_give(self):
+        # R * (log2 m + log2 n) / B overflows here, but at eta = 1 no row does:
+        # the largest e0 and es are both at the (largest m, largest n, smallest eta) point.
+        (point,) = grid_sweep(GridSpec(m_values=[2], n_values=[2], eta_values=[1.0], symbol_rate=1e307, bandwidth_hz=0.1))
+        assert point.e0 == pytest.approx(1e308, rel=1e-12) and point.es == pytest.approx(1e308, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            {"m_values": [1.5, 2, 7.3, 256, 4096], "n_values": [1, 3, 8, 128.5], "eta_values": [0.37]},
+            {"m_values": [1.0001, 16, 1e300], "n_values": [77.7], "eta_values": [0.0, 1e-3, 0.5, 1e10]},
+        ],
+    )
+    def test_the_walk_equals_the_public_functions(self, axes):
+        spec = GridSpec(**axes, symbol_rate=3.7e6, bandwidth_hz=1.1e5)
+        points = grid_sweep(spec)
+        assert len(points) == len(spec.m_values) * len(spec.n_values) * len(spec.eta_values)
+        for p in points:
+            assert p.gamma_ee == energy_efficiency_ratio(p.m, p.n)
+            assert p.gamma_se == spectral_efficiency_ratio(p.m, p.n, p.eta)
+            assert p.e0 == symbol_spectral_efficiency(spec.symbol_rate, p.m, spec.bandwidth_hz)
+            assert p.es == fom_spectral_efficiency(spec.symbol_rate, p.m, p.n, spec.bandwidth_hz, p.eta * spec.bandwidth_hz)
+
+    def test_writing_a_grid_checks_each_axis_value_once(self, monkeypatch):
+        calls = dict.fromkeys((name for name in vars(analytics) if name.startswith("_check_")), 0)
+        for name in calls:
+
+            def counted(*args, _name=name, _check=getattr(analytics, name)):
+                calls[_name] += 1
+                return _check(*args)
+
+            monkeypatch.setattr(analytics, name, counted)
+        spec = GridSpec(m_values=[2, 4, 8, 16], n_values=[1, 2, 4], eta_values=[0.1], symbol_rate=1e6, bandwidth_hz=1e6)
+        out = io.StringIO()
+        run_efficiency_grid(spec, out)
+        assert len(out.getvalue().splitlines()) == 2 + 12
+        assert calls == {"_check_m": 4, "_check_n": 3, "_check_mn": 0, "_check_eta": 1, "_check_rates": 1, "_check_delta_b": 1}
 
 
 INF, NAN = math.inf, math.nan

@@ -122,6 +122,7 @@ class TestEfficiency:
             ["--m", "4", "--n", "nan"],
             ["--fig4a", "--symbol-rate", "inf", "--bandwidth", "1"],
             ["--fig4a", "--symbol-rate", "1", "--bandwidth", "1e400"],
+            ["--m", "4", "--symbol-rate", "1e308", "--bandwidth", "1e-10"],
         ],
     )
     def test_non_finite_inputs_exit_invalid(self, capsys, axes):
@@ -139,6 +140,7 @@ class TestEfficiency:
             ["--m", "4", "--n", ""],
             ["--m", "4", "--n", "2,4", "--eta", ""],
             ["--fig4a", "--m", ""],
+            ["--m", "4", "--symbol-rate", "1e308", "--bandwidth", "1e-10"],
         ],
     )
     def test_a_rejected_grid_leaves_the_out_file_as_it_was(self, tmp_path, axes):

@@ -27,6 +27,7 @@ PUBLIC = {
     "grid_sweep",
     "preset_grid",
     "write_efficiency_csv",
+    "run_efficiency_grid",
     # codec
     "DataBlock",
     "FrameResult",
@@ -66,7 +67,6 @@ PUBLIC = {
     "scenario_from_dict",
     "scenario_from_json",
     "run_monte_carlo",
-    "run_efficiency_grid",
     "write_metrics_csv",
     "wilson_interval",
 }

@@ -31,6 +31,7 @@ from references import (
     biorthogonal_block_error,
     ml_block_error_bounds,
     noncoherent_fsk_index_error,
+    noncoherent_qam_index_error,
     ofdm_single_silent_index_error,
 )
 
@@ -451,6 +452,30 @@ class TestMonteCarlo:
             lo, hi = wilson_interval(round(row.index_error_rate * trials), trials)
             assert lo <= want <= hi, (row.es_n0_db, row.index_error_rate, want)
 
+    def test_the_qam_reference_reduces_to_fsk_for_one_amplitude(self):
+        for es_n0_db in (0.0, 6.0, 12.0):
+            assert noncoherent_qam_index_error(8, 4, es_n0_db) == pytest.approx(noncoherent_fsk_index_error(8, es_n0_db), rel=1e-12)
+
+    @pytest.mark.parametrize("mode, detector", [("fom", "noncoherent"), ("ofdm", "joint-ml")])
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_multi_amplitude_qam_index_error_is_exact(self, mode, detector, m):
+        # At delta_f * T = 1 the tones (and the OFDM bins) are orthogonal and
+        # the index decision sees only |c_k|, so from 16-QAM on, where the
+        # points have several amplitudes, each point's index errs as n-FSK at
+        # its own energy.  There the one-amplitude n-FSK rate lies far
+        # outside the band, so a wrong amplitude or calibration would show.
+        trials = 4000
+        system = {**scenario_dict()["system"], "m": m}
+        channel = {"es_n0_db": 10.0, "phase_rotation": 0.7}
+        s = scenario_from_dict(
+            scenario_dict(mode=mode, detector=detector, system=system, trials=trials, channel=channel, sweep={"es_n0_db": [10.0, 14.0]})
+        )
+        for row in run_monte_carlo(s):
+            want = noncoherent_qam_index_error(8, m, row.es_n0_db)
+            lo, hi = wilson_interval(round(row.index_error_rate * trials), trials, z=3.29)
+            assert lo <= want <= hi, (row.es_n0_db, row.index_error_rate, want)
+            assert not lo <= noncoherent_fsk_index_error(8, row.es_n0_db) <= hi
+
     def test_the_single_silent_reference_reduces_to_binary_fsk(self):
         # One silent bin against one active bin is noncoherent binary FSK.
         for es_n0_db in (0.0, 3.0, 6.0):
@@ -489,6 +514,24 @@ class TestMonteCarlo:
             synthesize_block(DataBlock(demap_index(k, 8), _int_to_bits(pattern, width)), plan, s.system).samples
             for k in range(1, 9)
             for pattern in range(m)
+        ]
+        for row in run_monte_carlo(s):
+            lower, upper = ml_block_error_bounds(signals, row.es_n0_db)
+            lo, hi = wilson_interval(round(row.block_error_rate * trials), trials, z=3.29)
+            assert lo <= upper and lower <= hi, (row.es_n0_db, row.block_error_rate, lower, upper)
+
+    @pytest.mark.parametrize("df_t", [0.5, 1.0])
+    def test_joint_ml_block_error_lies_between_the_ml_bounds_for_16_qam(self, df_t):
+        # 16-QAM's points have three amplitudes; the bounds come from all
+        # n*m = 128 blocks, at offsets that overlap (0.5) and that do not (1).
+        trials = 3000
+        system = {**scenario_dict()["system"], "m": 16, "delta_f_hz": df_t}
+        s = scenario_from_dict(scenario_dict(system=system, trials=trials, sweep={"es_n0_db": [14.0, 16.0, 18.0]}))
+        plan = build_frequency_plan(s.system)
+        signals = [
+            synthesize_block(DataBlock(demap_index(k, 8), _int_to_bits(pattern, 4)), plan, s.system).samples
+            for k in range(1, 9)
+            for pattern in range(16)
         ]
         for row in run_monte_carlo(s):
             lower, upper = ml_block_error_bounds(signals, row.es_n0_db)
