@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "m,n,eta,gamma_ee,gamma_se,e0,es"
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)  # the largest float: an int above it (10**400) has no float, so is not finite
 
 
 def _check_m(m: float) -> None:
@@ -63,17 +64,17 @@ def _check_mn(m: float, n: float) -> None:
 
 
 def _check_eta(value: float) -> None:
-    if not 0 <= value < math.inf:
+    if not 0 <= value <= _FLOAT_MAX:
         raise ValueError(f"eta must be finite and nonnegative, got {value!r}")
 
 
 def _check_rates(symbol_rate: float, bandwidth_hz: float) -> None:
-    if not (0 < symbol_rate < math.inf and 0 < bandwidth_hz < math.inf):
+    if not (0 < symbol_rate <= _FLOAT_MAX and 0 < bandwidth_hz <= _FLOAT_MAX):
         raise ValueError("symbol_rate and bandwidth_hz must be finite and positive")
 
 
 def _check_delta_b(delta_b_hz: float) -> None:
-    if not 0 <= delta_b_hz < math.inf:
+    if not 0 <= delta_b_hz <= _FLOAT_MAX:
         raise ValueError(f"delta_b_hz must be finite and nonnegative, got {delta_b_hz!r}")
 
 
@@ -125,10 +126,13 @@ def spectral_efficiency_ratio(m: float, n: float, eta: float) -> float:
 
 
 def min_tx_count(m: float, eta: float) -> float:
-    """Smallest array size with spectral_efficiency_ratio >= 1: m ** eta."""
+    """Smallest array size with spectral_efficiency_ratio >= 1: m ** eta, computed in floats."""
     _check_m(m)
     _check_eta(eta)
-    return m**eta
+    try:
+        return float(m) ** float(eta)
+    except OverflowError:
+        raise ValueError(f"m ** eta must be finite as a float, got m={m!r} and eta={eta!r}") from None
 
 
 def hybrid_ratios(m: float, n: float, eta: float) -> tuple[float, float]:
@@ -186,8 +190,8 @@ class GridSpec:
         size = len(self.m_values) * len(self.n_values) * len(self.eta_values)
         if size > MAX_TABLE_ENTRIES:
             raise ValueError(f"an m x n x eta grid of {size} points exceeds {MAX_TABLE_ENTRIES}, the largest grid swept")
-        # Each value once, by the public functions' rules (a bad eta fails as its delta_b when rates are set); then e0
-        # and es at their largest: e0 peaks at the largest m, es at the largest m and n and the smallest eta.
+        # Each value once, by the public functions' rules (with rates set, a bad eta fails as its delta_b, one beyond the float
+        # range as its own); then e0 and es at their largest: e0 peaks at the largest m, es at the largest m and n and the smallest eta.
         if self.bandwidth_hz is not None:
             _check_rates(self.symbol_rate, self.bandwidth_hz)
         for m in self.m_values:
@@ -196,7 +200,7 @@ class GridSpec:
             _check_n(n)
         for eta in self.eta_values:
             if self.bandwidth_hz is not None:
-                _check_delta_b(eta * self.bandwidth_hz)
+                _check_delta_b(eta * self.bandwidth_hz if abs(eta) <= _FLOAT_MAX else eta)
             _check_eta(eta)
         if self.bandwidth_hz is not None:
             top = _point(self, max(self.m_values), max(self.n_values), min(self.eta_values))

@@ -98,26 +98,24 @@ def fom_to_ofdm_params(config: SystemConfig, index_mode: str = "single-active", 
     )
 
 
-def _synthesize_frame(cfg: OfdmConfig, point: complex, index: int, bins: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write into ``out`` the frame with QAM ``point`` and subcarrier ``index`` (0-based) active or silent.
-
-    ``bins`` (n_subcarriers, reused from frame to frame) takes the bin vector;
-    the payload is its orthonormal IDFT, whose tail is copied in front as the cyclic prefix.
-    """
+def _synthesize_frames(cfg: OfdmConfig, points: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> None:
+    """Write into the (T, frame_len) ``rows`` the frames of QAM ``points`` on subcarriers ``indices`` (0-based): IDFTs, tails as prefixes."""
     active = cfg.index_mode == "single-active"
-    bins.fill(0.0 if active else point)
-    bins[index] = point if active else 0.0
-    np.fft.ifft(bins, norm="ortho", out=out[cfg.cp_len :])
-    out[: cfg.cp_len] = out[cfg.n_subcarriers :]
-    return out
+    bins = np.empty((len(rows), cfg.n_subcarriers), dtype=np.complex128)
+    bins[...] = 0.0 if active else points[:, None]
+    bins[np.arange(len(rows)), indices] = points if active else 0.0
+    # One IFFT per row: one per block runs faster, but linkbench keeps each timed call's CSV, so its peak RSS breaks its bound (ROADMAP item 1).
+    for row_bins, row in zip(bins, rows):
+        np.fft.ifft(row_bins, norm="ortho", out=row[cfg.cp_len :])
+    rows[:, : cfg.cp_len] = rows[:, cfg.n_subcarriers :]
 
 
 def modulate_frame(block: DataBlock, cfg: OfdmConfig) -> OfdmFrame:
     """Orthonormal IDFT of the index-modulated bin vector, tail copied as prefix."""
     index, pattern = _block_value(block, cfg.n_subcarriers, cfg.m)
-    bins, samples = np.empty(cfg.n_subcarriers, dtype=np.complex128), np.empty(cfg.frame_len, dtype=np.complex128)
-    _synthesize_frame(cfg, constellation(cfg.m)[pattern], index, bins, samples)
-    return OfdmFrame(time_samples=samples, sample_rate=cfg.sample_rate)
+    samples = np.empty((1, cfg.frame_len), dtype=np.complex128)
+    _synthesize_frames(cfg, constellation(cfg.m)[[pattern]], [index], samples)
+    return OfdmFrame(time_samples=samples[0], sample_rate=cfg.sample_rate)
 
 
 def _demodulate_rows(rows: np.ndarray, cfg: OfdmConfig):
@@ -167,9 +165,7 @@ def _ofdm_link(cfg: OfdmConfig) -> _Link:
     table = constellation(cfg.m)
 
     def transmit(indices: np.ndarray, patterns: np.ndarray, rows: np.ndarray) -> None:
-        bins = np.empty(cfg.n_subcarriers, dtype=np.complex128)
-        for index, point, row in zip(indices.tolist(), table[patterns].tolist(), rows):
-            _synthesize_frame(cfg, point, index, bins, row)
+        _synthesize_frames(cfg, table[patterns], indices, rows)
 
     detect = functools.partial(_demodulate_rows, cfg=cfg)
     return _Link(cfg.frame_len, cfg.sample_rate, transmit, detect, max(1, _BLOCK_SAMPLES // cfg.frame_len), _SYMBOL_ENERGY)

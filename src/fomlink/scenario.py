@@ -340,13 +340,13 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
     ``link.rows`` rows, one trial each, is built in one step: the link's
     transmitter writes the whole block, then rotation and CFO multiply it.
     Only the noise runs per trial, one `awgn` call per row in trial order;
-    the link then detects the block as one batch.  Every row is bit for bit
+    then rows of the first ``_DUMP_BLOCKS`` trials go to ``dump`` and the
+    link detects the block as one batch.  Every row is bit for bit
     what the public chain (`synthesize_block` or `modulate_frame`,
     `apply_phase_rotation`, `apply_carrier_freq_error`, `awgn` or
     `frame_awgn`) computes for the same draws.
     """
     link, phasor = point
-    transmit, symbol_energy = link.transmit, link.symbol_energy
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, start // _CHUNK]))
     theta = scenario.channel.phase_rotation
     index_len, symbol_len = scenario.system.index_bit_count, scenario.system.symbol_bit_count
@@ -360,23 +360,23 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
     blocks = -(-size // link.rows)
     step = -(-size // blocks)
     received_rows = np.empty((step, link.width), dtype=np.complex128)
-    rows = list(received_rows)  # the row views, made once
+    dumped = _DUMP_BLOCKS - start if dump is not None else 0  # the chunk's trials r < dumped are dumped
     # Every trial's decided index and pattern and its margin: counted after the last block.
     decided = np.empty((2, size), dtype=np.int64)
     margins = np.empty(size)
     for lo in range(0, size, step):
         hi = min(lo + step, size)
         block = received_rows[: hi - lo]
-        transmit(truth[0, lo:hi], truth[1, lo:hi], block)
+        link.transmit(truth[0, lo:hi], truth[1, lo:hi], block)
         if theta:
             block *= rotation
         if phasor is not None:
             block *= phasor
-        for r, row in zip(range(lo, hi), rows):
-            row[...] = awgn(row, es_n0_db, rng, symbol_energy)
-            if dump is not None and start + r < _DUMP_BLOCKS:
-                index, pattern = truth[:, r].tolist()
-                _dump_block(dump, start + r, _int_to_bits(index, index_len), _int_to_bits(pattern, symbol_len), row)
+        for row in block:
+            row[...] = awgn(row, es_n0_db, rng, link.symbol_energy)
+        for r in range(lo, min(hi, dumped)):
+            index, pattern = truth[:, r].tolist()
+            _dump_block(dump, start + r, _int_to_bits(index, index_len), _int_to_bits(pattern, symbol_len), block[r - lo])
         decided[0, lo:hi], decided[1, lo:hi], _, margins[lo:hi] = link.detect(block)
     index_err, pattern_err = decided != truth
     counts = [int(np.count_nonzero(e)) for e in (index_err, pattern_err, index_err | pattern_err)]

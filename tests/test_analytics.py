@@ -128,6 +128,7 @@ class TestSpectralRatio:
     def test_min_tx_count_values(self):
         assert min_tx_count(4, 0.5) == pytest.approx(2.0, rel=1e-12)
         assert min_tx_count(256, 0.01) == pytest.approx(2 ** 0.08, rel=1e-12)
+        assert type(min_tx_count(4, 100)) is float  # computed in floats, not as an integer power
 
     def test_decreases_with_expansion(self):
         vals = [spectral_efficiency_ratio(16, 8, x) for x in (0.0, 0.01, 0.05, 0.1)]
@@ -236,6 +237,8 @@ class TestGrid:
                 {"m_values": [4, 2.0**40, 16], "n_values": [1, 8, 2], "eta_values": [0.0], "symbol_rate": 1e307, "bandwidth_hz": 0.25},
                 "e0 and es must be finite, got inf and inf at m=1099511627776.0, n=8, eta=0.0",
             ),
+            ({"eta_values": [10**400], "symbol_rate": 1.0, "bandwidth_hz": 1.0}, f"delta_b_hz must be finite and nonnegative, got {10**400}"),
+            ({"eta_values": [10**400]}, f"eta must be finite and nonnegative, got {10**400}"),
         ],
     )
     def test_every_value_is_checked_when_the_grid_is_built(self, overrides, needle):
@@ -296,6 +299,15 @@ INF, NAN = math.inf, math.nan
         (hybrid_ratios, (4, INF, 0.1)),
         (min_tx_count, (INF, 0.1)),
         (min_tx_count, (4, INF)),
+        # Finite inputs whose power overflows a float, or that overflow one themselves.
+        (min_tx_count, (1e300, 2.0)),
+        (min_tx_count, (4, 1e300)),
+        (min_tx_count, (2, 1100.0)),
+        (min_tx_count, (4, 1000)),
+        pytest.param(spectral_efficiency_ratio, (4, 2, 10**400), id="spectral_efficiency_ratio-4,2,10**400"),
+        pytest.param(hybrid_ratios, (4, 2, 10**400), id="hybrid_ratios-4,2,10**400"),
+        pytest.param(symbol_spectral_efficiency, (10**400, 4, 1.0), id="symbol_spectral_efficiency-10**400,4,1.0"),
+        pytest.param(fom_spectral_efficiency, (1.0, 4, 2, 1.0, 10**400), id="fom_spectral_efficiency-1.0,4,2,1.0,10**400"),
         (symbol_spectral_efficiency, (INF, 4, 1.0)),
         (symbol_spectral_efficiency, (1.0, INF, 1.0)),
         (symbol_spectral_efficiency, (1.0, 4, INF)),

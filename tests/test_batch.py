@@ -12,6 +12,7 @@ hands to a kernel must equal, bit for bit, what the public record chain
 computes from the same draws.
 """
 
+import io
 import tracemalloc
 from dataclasses import replace
 
@@ -45,7 +46,7 @@ from fomlink.phy import (
     detect_two_stage,
     synthesize_block,
 )
-from fomlink.scenario import _CHUNK, _count_chunk, _sweep_point, run_monte_carlo, scenario_from_dict
+from fomlink.scenario import _CHUNK, _DUMP_BLOCKS, _count_chunk, _sweep_point, run_monte_carlo, scenario_from_dict
 from fomlink.system import SystemConfig, build_frequency_plan
 
 
@@ -349,3 +350,14 @@ class TestEngineRowsMatchPublicChain:
         got = np.concatenate(engine_blocks(scenario, monkeypatch))
         assert got.shape == (300, 20)
         assert np.array_equal(got, public_chain_rows(scenario))
+
+    def test_dump_across_blocks_holds_the_public_chain_rows(self):
+        # joint-ml at 64x64 runs one row per block, so the dumped trials span _DUMP_BLOCKS blocks.
+        scenario = scenario_from_dict(scenario_data(64, 64, "joint-ml", trials=12, channel={"es_n0_db": 10.0, **IMPAIRED}))
+        assert _sweep_point(scenario, scenario.system)[0].rows < _DUMP_BLOCKS
+        buf = io.StringIO()
+        run_monte_carlo(scenario, dump_signals=buf)
+        blocks = buf.getvalue().split("# block ")[1:]
+        assert [int(block.split(" ", 1)[0]) for block in blocks] == list(range(_DUMP_BLOCKS))
+        for block, want in zip(blocks, public_chain_rows(scenario)):
+            assert block.splitlines()[1:] == [f"{t},{v.real:.12g},{v.imag:.12g}" for t, v in enumerate(want)]

@@ -10,6 +10,7 @@ from fomlink.ofdm import (
     INDEX_MODES,
     OfdmConfig,
     OfdmFrame,
+    _ofdm_link,
     demodulate_frame,
     fom_to_ofdm_params,
     frame_awgn,
@@ -112,11 +113,12 @@ class TestModulation:
             assert quiet.tolist() == [k - 1]
 
     @pytest.mark.parametrize("index_mode", INDEX_MODES)
-    @pytest.mark.parametrize("cp_len", [0, 4])
+    @pytest.mark.parametrize("cp_len", [0, 4, 8])
     def test_frame_is_the_orthonormal_idft_of_its_bins(self, index_mode, cp_len):
-        # Bit for bit: the engine writes frames with the same helper, and its
+        # Bit for bit, one frame at a time and in the engine's blocks: its
         # metrics and dumps must not move.
         cfg = OfdmConfig(n_subcarriers=8, spacing_hz=15e3, m=4, cp_len=cp_len, index_mode=index_mode)
+        wants, indices, patterns = [], [], []
         for block, k, pattern in all_blocks(8, 4):
             bins = np.zeros(8, dtype=complex)
             bins[:] = constellation(4)[pattern] if index_mode == "single-silent" else 0.0
@@ -124,6 +126,16 @@ class TestModulation:
             payload = np.fft.ifft(bins, norm="ortho")
             want = np.concatenate([payload[len(payload) - cp_len :], payload])
             assert np.array_equal(modulate_frame(block, cfg).time_samples, want)
+            wants.append(want)
+            indices.append(k - 1)
+            patterns.append(pattern)
+        # Blocks of unequal sizes, each written into the front rows of one reused buffer, as the engine does.
+        transmit, buffer, lo = _ofdm_link(cfg).transmit, np.empty((21, cfg.frame_len), dtype=complex), 0
+        for size in (21, 1, 7, 3):
+            transmit(np.array(indices[lo : lo + size]), np.array(patterns[lo : lo + size]), buffer[:size])
+            assert np.array_equal(buffer[:size], np.array(wants[lo : lo + size]))
+            lo += size
+        assert lo == len(wants)
 
     def test_parseval(self):
         cfg = OfdmConfig(n_subcarriers=16, spacing_hz=1e3, m=16, cp_len=0, index_mode="single-active")
