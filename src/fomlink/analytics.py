@@ -93,6 +93,12 @@ def _efficiency(rate: float, bits: float, band: float) -> float:
     return rate * bits / band
 
 
+def _positive(name: str, value: float) -> float:
+    if not 0 < value <= _FLOAT_MAX:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
 def energy_efficiency_ratio(m: float, n: float) -> float:
     """Transmit energy per bit, FOM relative to the one-transmitter baseline.
 
@@ -107,7 +113,7 @@ def symbol_spectral_efficiency(symbol_rate: float, m: float, bandwidth_hz: float
     """Baseline bits/s/Hz: R * log2(m) / B."""
     _check_rates(symbol_rate, bandwidth_hz)
     _check_m(m)
-    return _efficiency(symbol_rate, math.log2(m), bandwidth_hz)
+    return _positive("e0", _efficiency(symbol_rate, math.log2(m), bandwidth_hz))
 
 
 def fom_spectral_efficiency(symbol_rate: float, m: float, n: float, bandwidth_hz: float, delta_b_hz: float) -> float:
@@ -115,7 +121,7 @@ def fom_spectral_efficiency(symbol_rate: float, m: float, n: float, bandwidth_hz
     _check_rates(symbol_rate, bandwidth_hz)
     _check_delta_b(delta_b_hz)
     _check_mn(m, n)
-    return _efficiency(symbol_rate, math.log2(m) + math.log2(n), bandwidth_hz + delta_b_hz)
+    return _positive("es", _efficiency(symbol_rate, math.log2(m) + math.log2(n), bandwidth_hz + delta_b_hz))
 
 
 def spectral_efficiency_ratio(m: float, n: float, eta: float) -> float:
@@ -169,7 +175,7 @@ class GridSpec:
     absolute spectral efficiencies e0/es are emitted as well, with delta_b
     taken as eta * bandwidth_hz.  The grid may hold at most
     system.MAX_TABLE_ENTRIES points, and each value is checked here against
-    the rules the public functions apply, with e0 and es finite at every point,
+    the rules the public functions apply, with e0 and es finite and positive at every point,
     so the grid walk checks nothing again.
     """
 
@@ -191,7 +197,7 @@ class GridSpec:
         if size > MAX_TABLE_ENTRIES:
             raise ValueError(f"an m x n x eta grid of {size} points exceeds {MAX_TABLE_ENTRIES}, the largest grid swept")
         # Each value once, by the public functions' rules (with rates set, a bad eta fails as its delta_b, one beyond the float
-        # range as its own); then e0 and es at their largest: e0 peaks at the largest m, es at the largest m and n and the smallest eta.
+        # range as its own); then e0 and es at the two corners that bound every row, as each formula is monotone on every axis.
         if self.bandwidth_hz is not None:
             _check_rates(self.symbol_rate, self.bandwidth_hz)
         for m in self.m_values:
@@ -203,9 +209,11 @@ class GridSpec:
                 _check_delta_b(eta * self.bandwidth_hz if abs(eta) <= _FLOAT_MAX else eta)
             _check_eta(eta)
         if self.bandwidth_hz is not None:
-            top = _point(self, max(self.m_values), max(self.n_values), min(self.eta_values))
-            if not (math.isfinite(top.e0) and math.isfinite(top.es)):
-                raise ValueError(f"e0 and es must be finite, got {top.e0!r} and {top.es!r} at m={top.m!r}, n={top.n!r}, eta={top.eta!r}")
+            for p in (_point(self, max(self.m_values), max(self.n_values), min(self.eta_values)),
+                      _point(self, min(self.m_values), min(self.n_values), max(self.eta_values))):
+                if not (0 < p.e0 <= _FLOAT_MAX and 0 < p.es <= _FLOAT_MAX):
+                    rule = "positive" if math.isfinite(p.e0 + p.es) else "finite"
+                    raise ValueError(f"e0 and es must be {rule}, got {p.e0!r} and {p.es!r} at m={p.m!r}, n={p.n!r}, eta={p.eta!r}")
 
     @property
     def mode(self) -> str:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import SUPPORTED_M, DataBlock, _block_value, _demap_patterns, _is_power_of_two, constellation
-from .phy import _BLOCK_SAMPLES, DetectionResult, _at, _detection, _Link, _pick, awgn
+from .phy import DetectionResult, _at, _detection, _Link, _pick, awgn
 from .system import SystemConfig, _is_real
 
 __all__ = [
@@ -168,4 +168,5 @@ def _ofdm_link(cfg: OfdmConfig) -> _Link:
         _synthesize_frames(cfg, table[patterns], indices, rows)
 
     detect = functools.partial(_demodulate_rows, cfg=cfg)
-    return _Link(cfg.frame_len, cfg.sample_rate, transmit, detect, max(1, _BLOCK_SAMPLES // cfg.frame_len), _SYMBOL_ENERGY)
+    # The demodulator's largest temporaries per row: N bins, and the slicer's m distances.
+    return _Link(cfg.frame_len, cfg.sample_rate, transmit, detect, max(cfg.n_subcarriers, cfg.m), _SYMBOL_ENERGY)

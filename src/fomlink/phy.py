@@ -295,19 +295,11 @@ def _two_stage_rows(conj_tones: np.ndarray, m: int, offsets: tuple[float, ...], 
     step = max(1, 2 * _BLOCK_SAMPLES // padded)  # rows per zero-padded FFT
 
     def kernel(part):
-        # The FFT stage runs step rows at a time through two buffers of
-        # this call; the rest of the kernel takes the whole block at once.
-        rows = min(step, len(part))
-        spectrum = np.empty((rows, padded), dtype=np.complex128)
-        magnitude = np.empty((rows, padded))
         # Peak magnitude over each offset's runs (offset 0 owns two); offsets that own no bin rank last.
         peaks = np.zeros((len(part), n))
-        for lo in range(0, len(part), rows):
-            k = min(rows, len(part) - lo)
-            np.fft.fft(part[lo : lo + k], n=padded, axis=-1, out=spectrum[:k])
-            np.abs(spectrum[:k], out=magnitude[:k])
-            runs = np.maximum.reduceat(magnitude[:k], starts, axis=-1)
-            np.maximum.at(peaks[lo : lo + k], (slice(None), regions), runs)
+        for lo in range(0, len(part), step):
+            runs = np.maximum.reduceat(np.abs(np.fft.fft(part[lo : lo + step], n=padded, axis=-1)), starts, axis=-1)
+            np.maximum.at(peaks[lo : lo + step], (slice(None), regions), runs)
         best, margin = _pick(-peaks)
         c = _at(part @ conj_tones.T, best)
         return best, _demap_patterns(c / count, m), -_at(peaks, best), margin
@@ -345,21 +337,26 @@ class _Link:
     ``transmit(indices, patterns, rows)`` writes T trials' ``width`` samples
     into a (T, width) block of ``rows``, row t from ``indices[t]`` and
     ``patterns[t]``; ``detect`` maps such a block to (best, pattern,
-    metric, margin) per row, best 0-based, each of its temporaries within
-    2 * _BLOCK_SAMPLES samples for T <= ``rows``; ``symbol_energy`` is `awgn`'s."""
+    metric, margin) per row, best 0-based; ``per_row`` is the largest
+    temporary of ``detect`` per row, in samples; ``symbol_energy`` is `awgn`'s."""
 
     width: int
     sample_rate: float
     transmit: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     detect: Callable[[np.ndarray], tuple[np.ndarray, ...]]
-    rows: int
+    per_row: int
     symbol_energy: float | None
+
+    @property
+    def rows(self) -> int:
+        """Rows per block: each temporary of ``detect`` stays within 2 * _BLOCK_SAMPLES samples for T <= rows."""
+        return max(1, _BLOCK_SAMPLES // max(self.width, self.per_row))
 
 
 def _fom_link(detector: str, plan: FrequencyPlan, m: int, count: int, sample_rate: float, zero_pad_factor: int = 16) -> _Link:
     """The link of one sweep point: tone synthesis and ``detector``'s (one of DETECTORS)
     batch kernel, whose builder also returns its largest temporary per row in
-    samples, by which ``rows`` is sized.  The public detectors call the kernel with one row."""
+    samples.  The public detectors call the kernel with one row."""
     conj_tones = _conj_tones(plan.offsets, count, sample_rate)
     tones = np.conj(conj_tones)
     if detector == "joint-ml":
@@ -368,17 +365,15 @@ def _fom_link(detector: str, plan: FrequencyPlan, m: int, count: int, sample_rat
         detect, per_row = _noncoherent_rows(conj_tones, m)
     elif detector == "two-stage":
         detect, per_row = _two_stage_rows(conj_tones, m, plan.offsets, zero_pad_factor, sample_rate)
-    elif detector == "oracle":
-        detect, per_row = _oracle_rows(tones, m)
     else:
-        raise ValueError(f"unknown detector {detector!r}")
+        detect, per_row = _oracle_rows(tones, m)
     table = constellation(m)
 
     def transmit(indices: np.ndarray, patterns: np.ndarray, rows: np.ndarray) -> None:
         # a * tone in synthesize_block's operand order: swapped, the product rounds differently.
         np.multiply(table[patterns][:, None], tones[indices], out=rows)
 
-    return _Link(count, sample_rate, transmit, detect, max(1, _BLOCK_SAMPLES // max(count, per_row)), None)
+    return _Link(count, sample_rate, transmit, detect, per_row, None)
 
 
 def _decide(

@@ -2,11 +2,12 @@
 
 import io
 import math
+import types
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fomlink import analytics
@@ -239,6 +240,13 @@ class TestGrid:
             ),
             ({"eta_values": [10**400], "symbol_rate": 1.0, "bandwidth_hz": 1.0}, f"delta_b_hz must be finite and nonnegative, got {10**400}"),
             ({"eta_values": [10**400]}, f"eta must be finite and nonnegative, got {10**400}"),
+            # The smallest e0 and es: a band B * (1 + eta) beyond the float range, or a rate product below it.
+            ({"eta_values": [1.0], "symbol_rate": 1.0, "bandwidth_hz": 1e308}, "e0 and es must be positive, got 2e-308 and 0.0 at m=4, n=2, eta=1.0"),
+            ({"eta_values": [0.5], "symbol_rate": 5e-324, "bandwidth_hz": 1e10}, "e0 and es must be positive, got 0.0 and 0.0 at m=4, n=2, eta=0.5"),
+            (
+                {"m_values": [4096, 2], "eta_values": [0.1, 1.0], "symbol_rate": 1.0, "bandwidth_hz": 1e308},
+                "e0 and es must be positive, got 1e-308 and 0.0 at m=2, n=2, eta=1.0",
+            ),
         ],
     )
     def test_every_value_is_checked_when_the_grid_is_built(self, overrides, needle):
@@ -268,6 +276,28 @@ class TestGrid:
             assert p.gamma_se == spectral_efficiency_ratio(p.m, p.n, p.eta)
             assert p.e0 == symbol_spectral_efficiency(spec.symbol_rate, p.m, spec.bandwidth_hz)
             assert p.es == fom_spectral_efficiency(spec.symbol_rate, p.m, p.n, spec.bandwidth_hz, p.eta * spec.bandwidth_hz)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m_values=st.lists(st.floats(1.0, 1e300, exclude_min=True), min_size=1, max_size=3),
+        inner=st.lists(st.floats(1.0, 1e300), min_size=1, max_size=3),
+        vary_eta=st.booleans(),
+        symbol_rate=st.floats(5e-324, 1e308),
+        bandwidth_hz=st.floats(5e-324, 1e308),
+    )
+    def test_rates_are_accepted_exactly_when_every_row_is_finite_and_positive(self, m_values, inner, vary_eta, symbol_rate, bandwidth_hz):
+        # The inner axis is n, or eta (as inner - 1, so it starts at 0) with delta_b = eta * B kept in range.
+        n_values, eta_values = ([2.0], [v - 1.0 for v in inner]) if vary_eta else (inner, [0.1])
+        assume(max(eta_values) * bandwidth_hz <= 1e308)
+        rates = types.SimpleNamespace(symbol_rate=symbol_rate, bandwidth_hz=bandwidth_hz)
+        rows = [analytics._point(rates, m, n, eta) for m in m_values for n in n_values for eta in eta_values]
+        good = all(0 < p.e0 < math.inf and 0 < p.es < math.inf for p in rows)
+        try:
+            spec = GridSpec(m_values, n_values, eta_values, symbol_rate, bandwidth_hz)
+        except ValueError as error:
+            assert str(error).startswith("e0 and es must be ") and not good
+        else:
+            assert good and grid_sweep(spec) == rows
 
     def test_writing_a_grid_checks_each_axis_value_once(self, monkeypatch):
         calls = dict.fromkeys((name for name in vars(analytics) if name.startswith("_check_")), 0)
@@ -314,6 +344,11 @@ INF, NAN = math.inf, math.nan
         (fom_spectral_efficiency, (1.0, 4, 2, INF, 0.0)),
         (fom_spectral_efficiency, (1.0, 4, 2, 1.0, INF)),
         (fom_spectral_efficiency, (NAN, 4, 2, 1.0, 0.0)),
+        # Finite inputs whose e0 or es overflows to inf or underflows to 0.
+        (symbol_spectral_efficiency, (1e308, 4096, 1e-10)),
+        (fom_spectral_efficiency, (1e308, 4, 2, 1e-10, 0.0)),
+        (fom_spectral_efficiency, (1.0, 4, 2, 1e308, 1e308)),
+        (symbol_spectral_efficiency, (5e-324, 4, 1e10)),
     ],
     ids=lambda v: v.__name__ if callable(v) else ",".join(map(str, v)),
 )

@@ -205,7 +205,7 @@ class TestBlockMemoryBound:
     @pytest.mark.parametrize("zero_pad_factor", [16, _BLOCK_SAMPLES // 64])
     def test_two_stage_padded_blocks(self, zero_pad_factor):
         # n=8, m=4: 64 samples per symbol, so the second factor pads one row
-        # to the whole bound; the spectrum and its snap-ordered copy are real.
+        # to the whole bound; each FFT step's spectrum is complex, its magnitude real.
         peak = chunk_peak(scenario_data(8, 4, "two-stage", zero_pad_factor=zero_pad_factor), 1024)
         assert peak < COMPLEX * 6 * _BLOCK_SAMPLES + SLACK
 
@@ -235,6 +235,15 @@ class TestBlockMemoryBound:
         assert peak < COMPLEX * 4 * m * config.samples_per_symbol
         joint = batch_rows("joint-ml", rows, plan, m, config.sample_rate)
         assert best.tolist() == joint[0].tolist() and pattern.tolist() == joint[1].tolist()
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_ofdm_slicing_at_large_m(self, n):
+        # The slicer's m = 4096 distances per frame outnumber its n samples, so
+        # the frames go one per block; blocks sized by the frame alone held
+        # 96 MiB (n=2) or 48 MiB (n=8) of distances.
+        ofdm = {"n_subcarriers": n, "spacing_hz": 1.0, "m": 4096, "cp_len": 0, "index_mode": "single-active"}
+        peak = chunk_peak(scenario_data(n, 4096, "joint-ml", mode="ofdm", ofdm=ofdm), 1024)
+        assert peak < COMPLEX * 2 * _BLOCK_SAMPLES + SLACK
 
     def test_row_blocks_of_a_chunk_count_every_trial(self):
         # 1000 trials at 64 samples per symbol: 15 full blocks of 64 rows and
@@ -350,6 +359,17 @@ class TestEngineRowsMatchPublicChain:
         got = np.concatenate(engine_blocks(scenario, monkeypatch))
         assert got.shape == (300, 20)
         assert np.array_equal(got, public_chain_rows(scenario))
+
+    @pytest.mark.parametrize("index_mode, cp_len", [("single-active", 0), ("single-silent", 2)])
+    def test_ofdm_blocks_are_sized_by_the_slicer(self, index_mode, cp_len, monkeypatch):
+        # m = 256 slicing distances per row exceed the 8 + cp_len frame samples:
+        # blocks of at most 4096 // 256 = 16 rows, so 100 trials make 6 x 15 + 10.
+        ofdm = {"n_subcarriers": 8, "spacing_hz": 1.0, "m": 256, "cp_len": cp_len, "index_mode": index_mode}
+        channel = {"es_n0_db": 6.0, **IMPAIRED}
+        scenario = scenario_from_dict(scenario_data(8, 256, "joint-ml", mode="ofdm", ofdm=ofdm, trials=100, channel=channel))
+        blocks = engine_blocks(scenario, monkeypatch)
+        assert [len(block) for block in blocks] == [15] * 6 + [10]
+        assert np.array_equal(np.concatenate(blocks), public_chain_rows(scenario))
 
     def test_dump_across_blocks_holds_the_public_chain_rows(self):
         # joint-ml at 64x64 runs one row per block, so the dumped trials span _DUMP_BLOCKS blocks.
