@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from contextlib import nullcontext
@@ -29,7 +28,7 @@ from .scenario import (
     validate_scenario_or_config,
     write_metrics_csv,
 )
-from .system import MAX_TABLE_ENTRIES
+from .system import MAX_TABLE_ENTRIES, _decode_json
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -109,11 +108,6 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def _cmd_efficiency(args: argparse.Namespace) -> int:
     grid = _grid_from_args(args)  # checks every value, so a rejected grid never opens --out
     with _open_out(args.out) as out:
@@ -121,8 +115,7 @@ def _cmd_efficiency(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    data = _load_json(args.config)
+def _cmd_simulate(args: argparse.Namespace, data) -> int:
     if args.seed is not None and isinstance(data, dict):
         data = {**data, "seed": args.seed}
     scenario = scenario_from_dict(data)
@@ -136,8 +129,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    data = _load_json(args.config)
+def _cmd_validate(data) -> int:
     report = validate_scenario_or_config(data)
     for error in report.hard_errors:
         print(f"ERROR: {error}")
@@ -154,13 +146,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "efficiency":
             return _cmd_efficiency(args)
+        with open(args.config, "r", encoding="utf-8") as handle:
+            data = _decode_json(handle.read(), ScenarioError)
         if args.command == "simulate":
-            return _cmd_simulate(args)
-        return _cmd_validate(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON in config file: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ScenarioError, ValueError) as exc:
+            return _cmd_simulate(args, data)
+        return _cmd_validate(data)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

@@ -42,6 +42,7 @@ from .system import (
     SystemConfig,
     ValidationReport,
     _checked_fields,
+    _decode_json,
     _field_values,
     _frequency_plan,
     _is_real,
@@ -201,11 +202,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def scenario_from_json(text: str) -> Scenario:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"malformed JSON: {exc}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(_decode_json(text, ScenarioError))
 
 
 def _cross_validate(scenario: Scenario) -> None:

@@ -47,6 +47,16 @@ MIN_SAMPLES_PER_SYMBOL = 8
 MAX_TABLE_ENTRIES = 1 << 22
 
 
+def _decode_json(text: str, error: type[ValueError] = ValueError):
+    """``json.loads(text)``; text that does not decode, nesting too deep included, raises ``error``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error("malformed JSON: nested deeper than the decoder's depth limit") from exc
+
+
 def _checked_fields(cls, data, what: str, error: type[ValueError] = ValueError) -> dict:
     """Parsed JSON ``data`` as keyword arguments for the dataclass ``cls``, defaults filled in.
 
@@ -127,7 +137,7 @@ class SystemConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SystemConfig":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(_decode_json(text))
 
 
 @dataclass(frozen=True)

@@ -232,11 +232,22 @@ class TestSimulate:
         assert "--workers must be >= 1, got 0" in capsys.readouterr().err
         assert out.read_bytes() == b"earlier metrics\n" and dump.read_bytes() == b"earlier dump\n"
 
-    def test_malformed_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["{oops", "[" * 100_000, '{"a":' * 100_000], ids=["unclosed", "deep-array", "deep-object"])
+    def test_malformed_json(self, tmp_path, capsys, text):
         path = tmp_path / "broken.json"
-        path.write_text("{oops")
+        path.write_text(text)
+        for command in ("simulate", "validate"):
+            assert main([command, "--config", str(path)]) == EXIT_INVALID
+            err = capsys.readouterr().err
+            assert err.startswith("error: malformed JSON: ") and "Traceback" not in err
+
+    def test_deep_nesting_that_decodes_gets_the_field_message(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario_data()).replace('"seed": 42', '"seed": ' + "[" * 500 + "]" * 500))
         assert main(["simulate", "--config", str(path)]) == EXIT_INVALID
-        assert "malformed JSON" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: seed must be an unsigned 64-bit integer, got [[[")
+        assert main(["validate", "--config", str(path)]) == EXIT_INVALID
+        assert capsys.readouterr().out.startswith("ERROR: seed must be an unsigned 64-bit integer, got [[[")
 
     def test_invalid_scenario(self, tmp_path, capsys):
         config = scenario_file(tmp_path, detector="magic")

@@ -136,6 +136,8 @@ class TestParsing:
     def test_malformed_json(self):
         with pytest.raises(ScenarioError, match="malformed JSON"):
             scenario_from_json("{not json")
+        with pytest.raises(ScenarioError, match="malformed JSON: nested deeper than the decoder's depth limit"):
+            scenario_from_json("[" * 100_000)
 
     @pytest.mark.parametrize("axis", ["es_n0_db", "df_t"])
     def test_an_empty_sweep_has_one_message(self, axis):
