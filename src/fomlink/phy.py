@@ -81,7 +81,7 @@ class BasebandSignal:
 class ChannelSpec:
     """Impairment settings applied between synthesis and detection.
 
-    es_n0_db may be math.inf for a noiseless channel.  phase_rotation is
+    es_n0_db may be math.inf or None for a noiseless channel.  phase_rotation is
     normalized into [0, 2*pi); carrier_freq_error is a baseband shift in Hz.
     All three are checked when the spec is built and stored as floats.
     """
@@ -103,7 +103,9 @@ class ChannelSpec:
 
 
 def _checked_es_n0(value, error: type[ValueError] = ValueError) -> float:
-    """``value`` as a float es_n0_db (+inf is noiseless); its noise power 10**(-es_n0_db/10) must be finite."""
+    """``value`` as a float es_n0_db, noiseless None or +inf as +inf; its noise power 10**(-es_n0_db/10) must be finite."""
+    if value is None:
+        return math.inf
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             if math.isfinite(10.0 ** (-float(value) / 10.0)):
@@ -345,7 +347,7 @@ class _Link:
     transmit: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     detect: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     per_row: int
-    symbol_energy: float | None
+    symbol_energy: float
 
     @property
     def rows(self) -> int:
@@ -373,7 +375,7 @@ def _fom_link(detector: str, plan: FrequencyPlan, m: int, count: int, sample_rat
         # a * tone in synthesize_block's operand order: swapped, the product rounds differently.
         np.multiply(table[patterns][:, None], tones[indices], out=rows)
 
-    return _Link(count, sample_rate, transmit, detect, per_row, None)
+    return _Link(count, sample_rate, transmit, detect, per_row, float(count))
 
 
 def _decide(

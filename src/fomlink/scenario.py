@@ -77,7 +77,7 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Sweep:
-    """One sweep axis and its points, checked when built and stored as a tuple of floats."""
+    """One sweep axis and its points, checked when built and stored as a tuple of floats (a None es_n0_db is +inf)."""
 
     axis: str
     values: tuple[float, ...]
@@ -143,10 +143,6 @@ def _null_if_inf(es_n0_db: float) -> float | None:
     return None if es_n0_db == math.inf else es_n0_db
 
 
-def _inf_if_null(es_n0_db):
-    return math.inf if es_n0_db is None else es_n0_db
-
-
 @dataclass(frozen=True)
 class MetricsRow:
     mode: str
@@ -168,10 +164,8 @@ METRICS_HEADER = ",".join(f.name for f in fields(MetricsRow))
 
 
 def _parse_record(cls, data, what: str, prefix: str = ""):
-    """Record ``cls`` from parsed JSON ``data`` (null es_n0_db is +inf); its ValueError is a ScenarioError after ``prefix``."""
+    """Record ``cls`` from parsed JSON ``data``; its ValueError is a ScenarioError after ``prefix``."""
     values = _checked_fields(cls, data, what, ScenarioError)
-    if "es_n0_db" in values:
-        values["es_n0_db"] = _inf_if_null(values["es_n0_db"])
     try:
         return cls(**values)
     except ValueError as exc:
@@ -181,17 +175,14 @@ def _parse_record(cls, data, what: str, prefix: str = ""):
 def _parse_sweep(data) -> Sweep:
     if not isinstance(data, dict) or len(data) != 1:
         raise ScenarioError('sweep must be an object with exactly one axis, e.g. {"es_n0_db": [0, 5, 10]}')
-    axis, values = next(iter(data.items()))
-    if axis == "es_n0_db" and isinstance(values, list):
-        values = [_inf_if_null(v) for v in values]
-    return Sweep(axis, values)
+    return Sweep(*next(iter(data.items())))
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Map a parsed JSON scenario onto its records, which check their own fields.
 
     Parsing adds only the schema (unknown or missing keys, objects where records
-    go), null meaning noiseless, and the ``bad channel spec:``/``bad ofdm spec:`` prefixes.
+    go, one sweep axis) and the ``bad channel spec:``/``bad ofdm spec:`` prefixes.
     """
     data = _checked_fields(Scenario, data, "scenario", ScenarioError)
     system = _parse_record(SystemConfig, data["system"], "system config")

@@ -45,16 +45,23 @@ MIN_SAMPLES_PER_SYMBOL = 8
 #   [262,144, in a test that calls the oracle directly].
 # The efficiency grids (analytics.GridSpec) and the CLI's ranges are held to it too.
 MAX_TABLE_ENTRIES = 1 << 22
+_JSON_DEPTH = 512  # deepest JSON nesting decoded: far enough below the recursion limit that error messages can repr it
 
 
 def _decode_json(text: str, error: type[ValueError] = ValueError):
-    """``json.loads(text)``; text that does not decode, nesting too deep included, raises ``error``."""
+    """``json.loads(text)``; text that does not decode or nests deeper than ``_JSON_DEPTH`` raises ``error``."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"malformed JSON: {exc}") from exc
-    except RecursionError as exc:
+    except RecursionError as exc:  # json.loads recurses once per level, so it can fail before the walk below
         raise error("malformed JSON: nested deeper than the decoder's depth limit") from exc
+    level = [value]  # the values one level down per step, walked without recursion until none is left
+    for _ in range(_JSON_DEPTH + 1):
+        level = [v for c in level if isinstance(c, (list, dict)) for v in (c.values() if isinstance(c, dict) else c)]
+        if not level:
+            return value
+    raise error("malformed JSON: nested deeper than the decoder's depth limit")
 
 
 def _checked_fields(cls, data, what: str, error: type[ValueError] = ValueError) -> dict:

@@ -5,6 +5,9 @@ import copy
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -14,6 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fomlink.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def scenario_data(**overrides):
@@ -34,6 +39,16 @@ def scenario_data(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def nested_scenario_file(tmp_path, field, depth):
+    """A scenario file whose ``field`` (top-level, system's ``n`` or channel's ``es_n0_db``) holds its value inside ``depth`` arrays."""
+    data = scenario_data()
+    node = data["system"] if field == "n" else data["channel"] if field == "es_n0_db" else data
+    value, node[field] = json.dumps(node[field]), "@"
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(data).replace('"@"', "[" * depth + value + "]" * depth))
+    return path
 
 
 def scenario_file(tmp_path, **overrides):
@@ -248,6 +263,32 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: seed must be an unsigned 64-bit integer, got [[[")
         assert main(["validate", "--config", str(path)]) == EXIT_INVALID
         assert capsys.readouterr().out.startswith("ERROR: seed must be an unsigned 64-bit integer, got [[[")
+
+    @pytest.mark.parametrize("field", ["seed", "detector", "trials", "n", "es_n0_db"])
+    def test_every_nesting_depth_exits_with_a_message(self, tmp_path, capsys, field):
+        # Past the decoder's depth cap, and through the band under the interpreter's recursion limit
+        # where a field's error message, taking the repr of the nested value, used to raise RecursionError.
+        for depth in range(1, 1001):
+            path = nested_scenario_file(tmp_path, field, depth)
+            assert main(["validate", "--config", str(path)]) == EXIT_INVALID, depth
+            out, err = capsys.readouterr()
+            assert (out + err).startswith(("ERROR: ", "error: malformed JSON: ")), depth
+            assert main(["simulate", "--config", str(path)]) == EXIT_INVALID, depth
+            assert capsys.readouterr().err.startswith("error: "), depth
+
+    @pytest.mark.parametrize("depth", [511, 512, 990])
+    def test_nesting_around_the_cap_in_a_fresh_interpreter(self, tmp_path, depth):
+        # The recursion band moves with the call depth at which the config is decoded, so also run the
+        # module as a script: "seed" inside the scenario object nests depth + 1 levels, and 512 decode.
+        path = nested_scenario_file(tmp_path, "seed", depth)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        message = "seed must be an unsigned 64-bit integer, got [[[" if depth < 512 else "malformed JSON: nested deeper"
+        for command in ("validate", "simulate"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "fomlink.cli", command, "--config", str(path)], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert proc.returncode == EXIT_INVALID and "Traceback" not in proc.stderr, proc.stderr
+            assert message in proc.stdout + proc.stderr
 
     def test_invalid_scenario(self, tmp_path, capsys):
         config = scenario_file(tmp_path, detector="magic")

@@ -127,6 +127,7 @@ class TestChannelSpec:
 
     def test_noiseless_sentinel_allowed(self):
         assert ChannelSpec(es_n0_db=math.inf).es_n0_db == math.inf
+        assert ChannelSpec(None) == ChannelSpec(math.inf)
 
     def test_rejects_nan_and_negative_infinity(self):
         for spec in (

@@ -78,6 +78,7 @@ class TestParsing:
     def test_null_snr_means_noiseless(self):
         s = scenario_from_dict(scenario_dict(channel={"es_n0_db": None}))
         assert s.channel.es_n0_db == math.inf
+        assert Sweep("es_n0_db", [None, 5]).values == (math.inf, 5.0)
 
     def test_round_trips_through_to_dict(self):
         s = scenario_from_dict(scenario_dict(sweep={"es_n0_db": [0, 5, None]}))
@@ -647,6 +648,14 @@ class TestOutputs:
         data = scenario_dict(trials=16, channel={"es_n0_db": 10, "phase_rotation": 0, "carrier_freq_error": 0})
         parsed = scenario_from_dict(data)
         built = Scenario(SystemConfig.from_dict(data["system"]), ChannelSpec(10, 0, 0), "joint-ml", trials=16, seed=42)
+        assert built == parsed
+        assert render_csv(built, run_monte_carlo(built)) == render_csv(parsed, run_monte_carlo(parsed))
+
+    @pytest.mark.parametrize("mode", ["fom", "ofdm"])
+    def test_a_channel_replaced_with_none_writes_the_null_csv(self, mode):
+        parsed = scenario_from_dict(scenario_dict(trials=16, mode=mode, channel={"es_n0_db": None}))
+        built = scenario_from_dict(scenario_dict(trials=16, mode=mode))
+        built = replace(built, channel=replace(built.channel, es_n0_db=None))
         assert built == parsed
         assert render_csv(built, run_monte_carlo(built)) == render_csv(parsed, run_monte_carlo(parsed))
 
