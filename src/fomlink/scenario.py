@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, fields, replace
 from typing import IO, Iterable
 
@@ -67,7 +66,6 @@ SWEEP_AXES = ("es_n0_db", "df_t")
 
 _CHUNK = 1024
 _DUMP_BLOCKS = 8
-_CHECKED: ContextVar[list[ValidationReport]] = ContextVar("_CHECKED")  # where `_check_config` puts its reports, when set
 _SEED_SCHEME = f"chunk c of {_CHUNK} trials draws from default_rng(SeedSequence([seed, c])) its payload values, then each trial's noise"
 
 
@@ -125,7 +123,7 @@ class Scenario:
             value, optional = getattr(self, name), name in ("ofdm", "sweep")
             if not (isinstance(value, record) or optional and value is None):
                 raise ScenarioError(f"{name} must be {record.__name__}{' or None' if optional else ''}, got {type(value).__name__}")
-        _cross_validate(self)
+        object.__setattr__(self, "_reports", _cross_validate(self))  # not a field: `validate` reads it
 
     def to_dict(self) -> dict:
         """The JSON form: a noiseless es_n0_db is null, a sweep is {axis: [values]}, unset records are left out."""
@@ -196,7 +194,7 @@ def scenario_from_json(text: str) -> Scenario:
     return scenario_from_dict(_decode_json(text, ScenarioError))
 
 
-def _cross_validate(scenario: Scenario) -> None:
+def _cross_validate(scenario: Scenario) -> list[ValidationReport]:
     if scenario.mode == "ofdm":
         if scenario.detector != "joint-ml":
             raise ScenarioError(f"ofdm mode supports only the joint-ml detector, got {scenario.detector!r}")
@@ -205,12 +203,11 @@ def _cross_validate(scenario: Scenario) -> None:
     elif scenario.ofdm is not None:
         raise ScenarioError(f"an ofdm object needs mode 'ofdm', got mode {scenario.mode!r}")
     spans = []  # samples per row and sample rate of each point, over which the CFO phasor runs
-    # A df_t sweep derives one config per point from the scenario's, which is checked first;
-    # an es_n0_db sweep shares the scenario's.
-    if scenario.sweep is not None and scenario.sweep.axis == "df_t":
-        _check_config(scenario.system)
+    # The reports of the configs checked: a df_t sweep derives one config per point from the
+    # scenario's, which is checked first; an es_n0_db sweep shares the scenario's.
+    reports = [_check_config(scenario.system)] if scenario.sweep is not None and scenario.sweep.axis == "df_t" else []
     for config in {id(config): config for config, _ in _points(scenario)}.values():
-        _check_config(config)
+        reports.append(_check_config(config))
         samples = config.samples_per_symbol
         if scenario.detector == "two-stage" and scenario.zero_pad_factor * config.n * samples > MAX_TABLE_ENTRIES:
             raise ScenarioError(
@@ -241,13 +238,14 @@ def _cross_validate(scenario: Scenario) -> None:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phasor is an input error, not a warning
             if not all(np.isfinite(_cfo_phasor(delta_hz, *span)).all() for span in spans):
                 raise ScenarioError(f"carrier_freq_error = {delta_hz!r} Hz overflows its phasor within one symbol interval")
+    return reports
 
 
-def _check_config(config: SystemConfig) -> None:
+def _check_config(config: SystemConfig) -> ValidationReport:
     report = validate_config(config)
-    _CHECKED.get([]).append(report)
     if report.hard_errors:
         raise ScenarioError(f"invalid system config (delta_f_hz={config.delta_f_hz!r}): " + "; ".join(report.hard_errors))
+    return report
 
 
 def _points(scenario: Scenario) -> list[tuple[SystemConfig, float]]:
@@ -268,15 +266,12 @@ def validate_scenario_or_config(data: dict) -> ValidationReport:
     system's, then those of each config a valid scenario's df_t sweep runs, each
     once, in sweep order, from the reports the scenario's own checks made.
     """
-    report, checked = ValidationReport(), []  # the system's report, then each swept config's, as the scenario checked them
+    report, checked = ValidationReport(), []  # a valid scenario's reports: its system's, then each swept config's
     if isinstance(data, dict) and "system" in data:
-        context = copy_context()  # `_CHECKED` is set in this copy of the context only
-        context.run(_CHECKED.set, checked)
         try:
-            context.run(scenario_from_dict, data)
+            checked = scenario_from_dict(data)._reports
         except ScenarioError as exc:
             report.hard_errors.append(str(exc))
-            del checked[1:]  # a rejected scenario shows its system's warnings only
         data = data["system"]
     try:
         system = checked[0] if checked else validate_config(SystemConfig.from_dict(data))
