@@ -261,10 +261,10 @@ def _points(scenario: Scenario) -> list[tuple[SystemConfig, float]]:
 def validate_scenario_or_config(data: dict) -> ValidationReport:
     """Validation report for either a bare system config or a full scenario.
 
-    Scenario-level problems (bad detector, bad sweep, inconsistent modes) are
-    hard errors alongside the system config's own.  The soft warnings are the
-    system's, then those of each config a valid scenario's df_t sweep runs, each
-    once, in sweep order, from the reports the scenario's own checks made.
+    Other problems (a bad detector, channel, ofdm spec or sweep) are hard errors
+    beside the system config's own.  The soft warnings are the system's, then,
+    for a valid scenario, each of those its df_t sweep's configs raise, once, in
+    sweep order, from the reports its own checks made and kept on the scenario.
     """
     report, checked = ValidationReport(), []  # a valid scenario's reports: its system's, then each swept config's
     if isinstance(data, dict) and "system" in data:
@@ -274,11 +274,13 @@ def validate_scenario_or_config(data: dict) -> ValidationReport:
             report.hard_errors.append(str(exc))
         data = data["system"]
     try:
-        system = checked[0] if checked else validate_config(SystemConfig.from_dict(data))
+        config = SystemConfig.from_dict(data)
+        system = checked[0] if checked else validate_config(config)
+        own = f"invalid system config (delta_f_hz={config.delta_f_hz!r}): " + "; ".join(system.hard_errors)
     except ValueError as exc:
-        system = ValidationReport(hard_errors=[str(exc)])
-    # A system error inside a scenario is already in the scenario error's message.
-    report.hard_errors.extend(e for e in system.hard_errors if not any(e in r for r in report.hard_errors))
+        system, own = ValidationReport(hard_errors=[str(exc)]), str(exc)
+    if own not in report.hard_errors:  # else the scenario error is the system's own, which lists its errors
+        report.hard_errors.extend(system.hard_errors)
     report.soft_warnings.extend(dict.fromkeys(w for config_report in [system, *checked[1:]] for w in config_report.soft_warnings))
     return report
 

@@ -12,16 +12,23 @@ def noncoherent_fsk_index_error(n, es_n0_db):
     return sum((-1) ** (k + 1) * math.comb(n - 1, k) / (k + 1) * math.exp(-k / (k + 1) * es_n0) for k in range(1, n))
 
 
-def noncoherent_qam_index_error(n, m, es_n0_db):
-    """Index error rate of noncoherent orthogonal n-FSK whose tones carry unit-average-energy square m-QAM:
-    the index decision sees only |a| of the sent point a, so it errs as noncoherent n-FSK at |a|^2 Es/N0,
-    averaged over the m points.  The levels are built here, not read from the codec, so a scale error there shows."""
+def _qam_average(rate, m, es_n0_db):
+    """``rate(es_n0_db + 10 log10 |a|^2)`` averaged over the points a of unit-average-energy square m-QAM, each
+    distinct energy once, weighted by its points.  The levels are built here, not read from the codec, so a scale
+    error there shows."""
     side = math.isqrt(m)
     assert side * side == m, f"square QAM only, got m={m}"
     levels = np.arange(1 - side, side, 2)  # the PAM levels along each axis
     energies = (levels[:, None] ** 2 + levels[None, :] ** 2).ravel()
-    energies = energies / energies.mean()
-    return float(np.mean([noncoherent_fsk_index_error(n, es_n0_db + 10 * math.log10(e)) for e in energies]))
+    energies, points = np.unique(energies / energies.mean(), return_counts=True)
+    return float(np.average([rate(es_n0_db + 10 * math.log10(e)) for e in energies], weights=points))
+
+
+def noncoherent_qam_index_error(n, m, es_n0_db):
+    """Index error rate of noncoherent orthogonal n-FSK whose tones carry unit-average-energy square m-QAM:
+    the index decision sees only |a| of the sent point a, so it errs as noncoherent n-FSK at |a|^2 Es/N0,
+    averaged over the m points."""
+    return _qam_average(lambda es: noncoherent_fsk_index_error(n, es), m, es_n0_db)
 
 
 def biorthogonal_block_error(dims, es_n0_db):
@@ -48,6 +55,13 @@ def ofdm_single_silent_index_error(n, es_n0_db):
     active = 2 * r / s2 * np.exp(-(r**2 + 1) / s2) * np.i0(2 * r / s2)
     below = np.concatenate(([0.0], np.cumsum((active[1:] + active[:-1]) / 2 * np.diff(r))))
     return 1.0 - float(np.trapezoid(silent * (1.0 - below) ** (n - 1), r))
+
+
+def ofdm_single_silent_qam_index_error(n, m, es_n0_db):
+    """Index error rate of single-silent OFDM whose n - 1 active bins all repeat the sent point a of square m-QAM:
+    the index decision sees only bin energies, so it errs as `ofdm_single_silent_index_error` at |a|^2 Es/N0,
+    averaged over the m points."""
+    return _qam_average(lambda es: ofdm_single_silent_index_error(n, es), m, es_n0_db)
 
 
 def ml_block_error_bounds(signals, es_n0_db):

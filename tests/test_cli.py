@@ -427,6 +427,28 @@ class TestValidate:
             "OK (with warnings)",
         ]
 
+    def test_a_system_error_is_listed_beside_another_record_error_with_its_text(self, tmp_path, capsys):
+        # The ofdm spec's m error holds the system's m error word for word; both are shown.
+        system = {**scenario_data()["system"], "m": 3}
+        ofdm = {"n_subcarriers": 8, "spacing_hz": 1.0, "m": 3, "index_mode": "single-active"}
+        config = scenario_file(tmp_path, mode="ofdm", system=system, ofdm=ofdm)
+        assert main(["validate", "--config", str(config)]) == EXIT_INVALID
+        assert capsys.readouterr().out.splitlines() == [
+            "ERROR: bad ofdm spec: m must be one of (2, 4, 16, 64, 256, 1024, 4096), got 3",
+            "ERROR: m must be one of (2, 4, 16, 64, 256, 1024, 4096), got 3",
+        ]
+
+    def test_a_rejected_scenario_shows_only_its_systems_warnings(self, tmp_path, capsys):
+        # The df_t points at 0.25, 1 and 4 warn of expansions 1.75, 7 and 28; the scenario is
+        # rejected after checking them, so only its system's own warning (7) is shown.
+        channel = {"es_n0_db": 10.0, "carrier_freq_error": 1e308}
+        config = scenario_file(tmp_path, channel=channel, sweep={"df_t": [0.25, 1.0, 4.0]})
+        assert main(["validate", "--config", str(config)]) == EXIT_INVALID
+        assert capsys.readouterr().out.splitlines() == [
+            "ERROR: carrier_freq_error = 1e+308 Hz overflows its phasor within one symbol interval",
+            "WARNING: delta_b/bandwidth = 7 exceeds 0.5; bandwidth expansion is not small relative to the band",
+        ]
+
     def test_scenario_error_reported(self, tmp_path, capsys):
         config = scenario_file(tmp_path, sweep={"both": [1]})
         assert main(["validate", "--config", str(config)]) == EXIT_INVALID
@@ -506,8 +528,8 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize(
         "system",
-        [{"oversample": "NAN"}, {"symbol_rate": 5e-324}, {"bandwidth_hz": 1e15, "carrier_hz": 1e18}],
-        ids=["oversample-nan", "symbol_rate-5e-324", "oversized-filter-bank"],
+        [{"oversample": "NAN"}, {"symbol_rate": 5e-324}, {"bandwidth_hz": 1e15, "carrier_hz": 1e18}, {"n": 3, "oversample": 1}],
+        ids=["oversample-nan", "symbol_rate-5e-324", "oversized-filter-bank", "two-system-errors"],
     )
     def test_one_error_line_that_simulate_repeats(self, tmp_path, capsys, system):
         config = scenario_file(tmp_path)

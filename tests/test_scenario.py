@@ -33,6 +33,7 @@ from references import (
     noncoherent_fsk_index_error,
     noncoherent_qam_index_error,
     ofdm_single_silent_index_error,
+    ofdm_single_silent_qam_index_error,
 )
 
 
@@ -486,11 +487,14 @@ class TestMonteCarlo:
                 noncoherent_fsk_index_error(2, es_n0_db), rel=1e-5
             )
 
-    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("m", [2, 4, 16, 64])
     def test_ofdm_single_silent_index_error_is_exact(self, m):
         # The index is picked from bin energies, which the rotation leaves
-        # alone, and BPSK and QPSK put the same energy on every active bin.
-        trials = 2000
+        # alone, and every active bin repeats the sent point a, so the index
+        # errs as with unit-modulus symbols at |a|^2 Es/N0.  BPSK and QPSK have
+        # one amplitude; from 16-QAM on the rate is averaged over the points,
+        # and from 6 dB the one-amplitude rate lies outside the band.
+        trials = 4000
         system = {**scenario_dict()["system"], "m": m}
         ofdm = {"n_subcarriers": 8, "spacing_hz": 1.0, "m": m, "index_mode": "single-silent"}
         channel = {"es_n0_db": 2.0, "phase_rotation": 0.3}
@@ -498,9 +502,12 @@ class TestMonteCarlo:
             scenario_dict(mode="ofdm", system=system, ofdm=ofdm, trials=trials, channel=channel, sweep={"es_n0_db": [2.0, 4.0, 6.0, 8.0]})
         )
         for row in run_monte_carlo(s):
-            want = ofdm_single_silent_index_error(8, row.es_n0_db)
+            one_amplitude = ofdm_single_silent_index_error(8, row.es_n0_db)
+            want = one_amplitude if m < 16 else ofdm_single_silent_qam_index_error(8, m, row.es_n0_db)
             lo, hi = wilson_interval(round(row.index_error_rate * trials), trials, z=3.29)
             assert lo <= want <= hi, (row.es_n0_db, row.index_error_rate, want)
+            if m >= 16 and row.es_n0_db >= 6.0:
+                assert not lo <= one_amplitude <= hi, (row.es_n0_db, row.index_error_rate, one_amplitude)
 
     @pytest.mark.parametrize("m", [2, 4])
     @pytest.mark.parametrize("df_t", [0.1, 0.25, 0.5, 0.75])
