@@ -52,7 +52,7 @@ def _decode_json(text: str, error: type[ValueError] = ValueError):
     """``json.loads(text)``; text that does not decode or nests deeper than ``_JSON_DEPTH`` raises ``error``."""
     try:
         value = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past int() conversion's digit limit
         raise error(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:  # json.loads recurses once per level, so it can fail before the walk below
         raise error("malformed JSON: nested deeper than the decoder's depth limit") from exc

@@ -74,3 +74,35 @@ def ml_block_error_bounds(signals, es_n0_db):
     q = np.vectorize(math.erfc)(distances / (2 * math.sqrt(s2))) / 2
     np.fill_diagonal(q, 0.0)
     return float(q.max(axis=1).mean()), float(q.sum(axis=1).mean())
+
+
+def two_stage_index_error(n, m, es_n0_db, samples, df_t=1, delta=0.0):
+    """Index error rate of the two-stage detector at zero_pad_factor 1 on n offsets k * df_t bins apart (integer
+    df_t), `samples` samples per symbol, square m-QAM, and a carrier error of `delta` bins.
+
+    Unpadded, the S = `samples` FFT bins are independent: bin b is Rician about |a D(k df_t + delta - b)| / S with
+    per-bin noise variance s^2 = 10**(-Es/N0/10), where D is the Dirichlet kernel over S samples.  Each bin snaps to
+    its nearest offset (offset 0 owns the negative frequencies too), and the index is right when the largest bin
+    snaps to the sent offset k: P = 1 - integral prod_{b not k's} F_b d(prod_{b k's} F_b), averaged over k and,
+    as in `_qam_average`, over the points a.  Each F_b is a cumulative trapezoid over its density, as in
+    `ofdm_single_silent_index_error`, on 4001 points: within 2e-4 of 200,001 points at 6-14 dB."""
+    bins = np.fft.fftfreq(samples, d=1.0 / samples)  # each bin's frequency in bins, in FFT order
+    offsets = df_t * np.arange(n)
+    snaps_to = np.abs(bins[:, None] - offsets[None, :]).argmin(axis=1)
+    t = np.arange(samples)
+    # Bin b sees the tone of offset k at (b - k df_t) mod S bins from it, so one amplitude per distance serves every k.
+    nu = np.abs(np.exp(2j * math.pi * np.outer(delta - t, t) / samples).sum(axis=1))[:, None] / samples
+
+    def rate(es):
+        s2 = 10 ** (-es / 10)
+        r = np.linspace(0.0, 1.0 + 12 * math.sqrt(s2), 4001)
+        density = 2 * r / s2 * np.exp(-(r**2 + nu**2) / s2) * np.i0(2 * r * nu / s2)
+        cdf = np.concatenate((np.zeros((samples, 1)), np.cumsum((density[:, 1:] + density[:, :-1]) / 2 * np.diff(r), axis=1)), axis=1)
+        right = 0.0
+        for k in range(n):
+            shifted = cdf[(t - k * df_t) % samples]
+            inside, outside = shifted[snaps_to == k].prod(axis=0), shifted[snaps_to != k].prod(axis=0)
+            right += float(np.sum((outside[1:] + outside[:-1]) / 2 * np.diff(inside)))
+        return 1.0 - right / n
+
+    return _qam_average(rate, m, es_n0_db)

@@ -36,6 +36,7 @@ from fomlink.scenario import (
     write_metrics_csv,
 )
 from fomlink.system import SystemConfig, build_frequency_plan
+from builders import all_blocks, link_config, scenario_data
 
 POW2_M = [2, 4, 16, 64, 256, 1024, 4096]
 POW2_N = [1, 2, 4, 8, 16, 32, 64, 128]
@@ -44,30 +45,6 @@ POW2_N = [1, 2, 4, 8, 16, 32, 64, 128]
 def _verdict(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, detail
-
-
-def link_config(n=8, m=4, df_t=1.0):
-    return SystemConfig(
-        n=n,
-        m=m,
-        bandwidth_hz=1.0,
-        delta_f_hz=df_t,
-        symbol_rate=1.0,
-        carrier_hz=1e6,
-        oversample=8,
-    )
-
-
-def scenario_dict(**overrides):
-    data = {
-        "system": link_config().to_dict(),
-        "channel": {"es_n0_db": 10.0},
-        "detector": "joint-ml",
-        "trials": 10_000,
-        "seed": 42,
-    }
-    data.update(overrides)
-    return data
 
 
 def test_criterion_01_reference_spectral_gain():
@@ -141,18 +118,13 @@ def test_criterion_06_noiseless_exhaustive_decoding():
     }
     failures = 0
     cases = 0
-    for k in range(1, 9):
-        for pattern in range(16):
-            block = DataBlock(
-                index_bits=demap_index(k, 8),
-                symbol_bits=tuple((pattern >> (3 - i)) & 1 for i in range(4)),
-            )
-            signal = synthesize_block(block, plan, config)
-            cases += 1
-            for detect in detectors.values():
-                got = detect(signal, plan, 16)
-                if got.k_hat != k or got.symbol_bits_hat != block.symbol_bits:
-                    failures += 1
+    for block, k, _ in all_blocks(8, 16):
+        signal = synthesize_block(block, plan, config)
+        cases += 1
+        for detect in detectors.values():
+            got = detect(signal, plan, 16)
+            if got.k_hat != k or got.symbol_bits_hat != block.symbol_bits:
+                failures += 1
     ok = failures == 0 and cases == 128
     _verdict(6, ok, f"all {cases} noiseless (index, symbol) cases decode exactly under every detector ({failures} failures)")
 
@@ -195,7 +167,7 @@ def test_criterion_08_tone_bank_is_a_dft():
 
 
 def test_criterion_09_index_errors_vanish_at_high_snr():
-    s = scenario_from_dict(scenario_dict(channel={"es_n0_db": 20.0}))
+    s = scenario_from_dict(scenario_data(channel={"es_n0_db": 20.0}, trials=10_000))
     row = run_monte_carlo(s)[0]
     ok = row.index_error_rate < 1e-3
     _verdict(9, ok, f"index error rate at 20 dB over {row.trials} blocks is {row.index_error_rate:.2e} (< 1e-3)")
@@ -203,7 +175,7 @@ def test_criterion_09_index_errors_vanish_at_high_snr():
 
 def test_criterion_10_narrow_offsets_cost_errors():
     trials = 10_000
-    s = scenario_from_dict(scenario_dict(trials=trials, sweep={"df_t": [0.1, 1.0]}))
+    s = scenario_from_dict(scenario_data(trials=trials, sweep={"df_t": [0.1, 1.0]}))
     rows = run_monte_carlo(s, workers=4)
     narrow, wide = rows[0].index_error_rate, rows[1].index_error_rate
     lo_narrow, _ = wilson_interval(round(narrow * trials), trials)
@@ -218,7 +190,7 @@ def test_criterion_10_narrow_offsets_cost_errors():
 
 
 def test_criterion_11_reproducible_metrics():
-    s = scenario_from_dict(scenario_dict(trials=2500, sweep={"es_n0_db": [5.0, 10.0]}))
+    s = scenario_from_dict(scenario_data(trials=2500, sweep={"es_n0_db": [5.0, 10.0]}))
 
     def render(workers):
         buf = io.StringIO()

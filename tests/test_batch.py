@@ -47,11 +47,8 @@ from fomlink.phy import (
     synthesize_block,
 )
 from fomlink.scenario import _CHUNK, _DUMP_BLOCKS, _count_chunk, _sweep_point, run_monte_carlo, scenario_from_dict
-from fomlink.system import SystemConfig, build_frequency_plan
-
-
-def link_config(n, m, df_t=1.0):
-    return SystemConfig(n=n, m=m, bandwidth_hz=1.0, delta_f_hz=df_t, symbol_rate=1.0, carrier_hz=1e6, oversample=8)
+from fomlink.system import build_frequency_plan
+from builders import link_config, msb_bits, scenario_data
 
 
 def random_block(rng, n, m):
@@ -68,8 +65,7 @@ def batch_rows(detector, rows, plan, m, sample_rate, zero_pad_factor=16):
 def as_results(kernel_result, m):
     """(k_hat, symbol bits, metric, margin) per row, as the public records hold them."""
     best, pattern, metric, margin = kernel_result
-    width = (m - 1).bit_length()
-    bits = [tuple((int(p) >> (width - 1 - i)) & 1 for i in range(width)) for p in pattern]
+    bits = [msb_bits(int(p), (m - 1).bit_length()) for p in pattern]
     return list(zip((int(b) + 1 for b in best), bits, metric.tolist(), margin.tolist()))
 
 
@@ -182,15 +178,9 @@ def chunk_peak(data, trials):
     return peak
 
 
-def scenario_data(n, m, detector, **extra):
-    return {
-        "system": link_config(n, m).to_dict(),
-        "channel": {"es_n0_db": 10.0, "phase_rotation": 0.1, "carrier_freq_error": 0.01},
-        "detector": detector,
-        "trials": 1,
-        "seed": 3,
-        **extra,
-    }
+def impaired_data(n, m, detector, **extra):
+    channel = {"es_n0_db": 10.0, "phase_rotation": 0.1, "carrier_freq_error": 0.01}
+    return scenario_data(system=link_config(n, m).to_dict(), channel=channel, detector=detector, trials=1, seed=3) | extra
 
 
 class TestBlockMemoryBound:
@@ -199,14 +189,14 @@ class TestBlockMemoryBound:
         # the (n, m) slicing distances one row at a time (512 KiB each).  All
         # 1024 rows at once would hold 16 MiB of samples alone.
         n, m = 128, 256
-        peak = chunk_peak(scenario_data(n, m, "joint-ml"), 1024)
+        peak = chunk_peak(impaired_data(n, m, "joint-ml"), 1024)
         assert peak < COMPLEX * (_BLOCK_SAMPLES + 4 * n * m) + SLACK
 
     @pytest.mark.parametrize("zero_pad_factor", [16, _BLOCK_SAMPLES // 64])
     def test_two_stage_padded_blocks(self, zero_pad_factor):
         # n=8, m=4: 64 samples per symbol, so the second factor pads one row
         # to the whole bound; each FFT step's spectrum is complex, its magnitude real.
-        peak = chunk_peak(scenario_data(8, 4, "two-stage", zero_pad_factor=zero_pad_factor), 1024)
+        peak = chunk_peak(impaired_data(8, 4, "two-stage", zero_pad_factor=zero_pad_factor), 1024)
         assert peak < COMPLEX * 6 * _BLOCK_SAMPLES + SLACK
 
     def test_oracle_block_at_the_design_point(self):
@@ -242,13 +232,13 @@ class TestBlockMemoryBound:
         # the frames go one per block; blocks sized by the frame alone held
         # 96 MiB (n=2) or 48 MiB (n=8) of distances.
         ofdm = {"n_subcarriers": n, "spacing_hz": 1.0, "m": 4096, "cp_len": 0, "index_mode": "single-active"}
-        peak = chunk_peak(scenario_data(n, 4096, "joint-ml", mode="ofdm", ofdm=ofdm), 1024)
+        peak = chunk_peak(impaired_data(n, 4096, "joint-ml", mode="ofdm", ofdm=ofdm), 1024)
         assert peak < COMPLEX * 2 * _BLOCK_SAMPLES + SLACK
 
     def test_row_blocks_of_a_chunk_count_every_trial(self):
         # 1000 trials at 64 samples per symbol: 15 full blocks of 64 rows and
         # one of 40; noiseless, every drawn index and pattern comes back.
-        data = scenario_data(8, 4, "oracle", channel={"es_n0_db": None})
+        data = impaired_data(8, 4, "oracle", channel={"es_n0_db": None})
         scenario = scenario_from_dict({**data, "trials": 1000})
         point = _sweep_point(scenario, scenario.system)
         counts, margin_sum = _count_chunk(scenario, point, scenario.channel.es_n0_db, 0, 1000)
@@ -318,7 +308,7 @@ class TestEngineRowsMatchPublicChain:
         ],
     )
     def test_fom(self, n, m, detector, trials, es_n0_db, monkeypatch):
-        data = scenario_data(n, m, detector, trials=trials, channel={"es_n0_db": es_n0_db, **IMPAIRED})
+        data = impaired_data(n, m, detector, trials=trials, channel={"es_n0_db": es_n0_db, **IMPAIRED})
         scenario = scenario_from_dict(data)
         got, want = np.concatenate(engine_blocks(scenario, monkeypatch)), public_chain_rows(scenario)
         assert got.shape == (trials, scenario.system.samples_per_symbol)
@@ -334,7 +324,7 @@ class TestEngineRowsMatchPublicChain:
         ],
     )
     def test_fom_channel_branches(self, impairments, trials, es_n0_db, block_rows, monkeypatch):
-        data = scenario_data(8, 4, "joint-ml", trials=trials, channel={"es_n0_db": es_n0_db, **impairments})
+        data = impaired_data(8, 4, "joint-ml", trials=trials, channel={"es_n0_db": es_n0_db, **impairments})
         scenario = scenario_from_dict(data)
         blocks = engine_blocks(scenario, monkeypatch)
         assert [len(block) for block in blocks] == block_rows
@@ -347,7 +337,7 @@ class TestEngineRowsMatchPublicChain:
     def test_ofdm(self, index_mode, cp_len, es_n0_db, monkeypatch):
         ofdm = {"n_subcarriers": 16, "spacing_hz": 1.0, "m": 16, "cp_len": cp_len, "index_mode": index_mode}
         channel = {"es_n0_db": es_n0_db, **IMPAIRED}
-        scenario = scenario_from_dict(scenario_data(16, 16, "joint-ml", mode="ofdm", ofdm=ofdm, trials=300, channel=channel))
+        scenario = scenario_from_dict(impaired_data(16, 16, "joint-ml", mode="ofdm", ofdm=ofdm, trials=300, channel=channel))
         got, want = np.concatenate(engine_blocks(scenario, monkeypatch)), public_chain_rows(scenario)
         assert got.shape == (300, 16 + cp_len)
         assert np.array_equal(got, want)
@@ -355,7 +345,7 @@ class TestEngineRowsMatchPublicChain:
     def test_ofdm_rotation_only(self, monkeypatch):
         ofdm = {"n_subcarriers": 16, "spacing_hz": 1.0, "m": 16, "cp_len": 4, "index_mode": "single-active"}
         channel = {"es_n0_db": 6.0, "phase_rotation": 0.7}
-        scenario = scenario_from_dict(scenario_data(16, 16, "joint-ml", mode="ofdm", ofdm=ofdm, trials=300, channel=channel))
+        scenario = scenario_from_dict(impaired_data(16, 16, "joint-ml", mode="ofdm", ofdm=ofdm, trials=300, channel=channel))
         got = np.concatenate(engine_blocks(scenario, monkeypatch))
         assert got.shape == (300, 20)
         assert np.array_equal(got, public_chain_rows(scenario))
@@ -366,14 +356,14 @@ class TestEngineRowsMatchPublicChain:
         # blocks of at most 4096 // 256 = 16 rows, so 100 trials make 6 x 15 + 10.
         ofdm = {"n_subcarriers": 8, "spacing_hz": 1.0, "m": 256, "cp_len": cp_len, "index_mode": index_mode}
         channel = {"es_n0_db": 6.0, **IMPAIRED}
-        scenario = scenario_from_dict(scenario_data(8, 256, "joint-ml", mode="ofdm", ofdm=ofdm, trials=100, channel=channel))
+        scenario = scenario_from_dict(impaired_data(8, 256, "joint-ml", mode="ofdm", ofdm=ofdm, trials=100, channel=channel))
         blocks = engine_blocks(scenario, monkeypatch)
         assert [len(block) for block in blocks] == [15] * 6 + [10]
         assert np.array_equal(np.concatenate(blocks), public_chain_rows(scenario))
 
     def test_dump_across_blocks_holds_the_public_chain_rows(self):
         # joint-ml at 64x64 runs one row per block, so the dumped trials span _DUMP_BLOCKS blocks.
-        scenario = scenario_from_dict(scenario_data(64, 64, "joint-ml", trials=12, channel={"es_n0_db": 10.0, **IMPAIRED}))
+        scenario = scenario_from_dict(impaired_data(64, 64, "joint-ml", trials=12, channel={"es_n0_db": 10.0, **IMPAIRED}))
         assert _sweep_point(scenario, scenario.system)[0].rows < _DUMP_BLOCKS
         buf = io.StringIO()
         run_monte_carlo(scenario, dump_signals=buf)

@@ -17,28 +17,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fomlink.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
+from builders import scenario_data
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def scenario_data(**overrides):
-    data = {
-        "system": {
-            "n": 8,
-            "m": 4,
-            "bandwidth_hz": 1.0,
-            "delta_f_hz": 1.0,
-            "symbol_rate": 1.0,
-            "carrier_hz": 1e6,
-            "oversample": 8,
-        },
-        "channel": {"es_n0_db": 10.0},
-        "detector": "joint-ml",
-        "trials": 64,
-        "seed": 42,
-    }
-    data.update(overrides)
-    return data
 
 
 def nested_scenario_file(tmp_path, field, depth):
@@ -247,7 +228,11 @@ class TestSimulate:
         assert "--workers must be >= 1, got 0" in capsys.readouterr().err
         assert out.read_bytes() == b"earlier metrics\n" and dump.read_bytes() == b"earlier dump\n"
 
-    @pytest.mark.parametrize("text", ["{oops", "[" * 100_000, '{"a":' * 100_000], ids=["unclosed", "deep-array", "deep-object"])
+    @pytest.mark.parametrize(
+        "text",
+        ["{oops", "[" * 100_000, '{"a":' * 100_000, '{"trials": ' + "1" * 5000 + "}"],
+        ids=["unclosed", "deep-array", "deep-object", "5000-digit-integer"],
+    )
     def test_malformed_json(self, tmp_path, capsys, text):
         path = tmp_path / "broken.json"
         path.write_text(text)

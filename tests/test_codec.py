@@ -12,7 +12,6 @@ from fomlink.codec import (
     SUPPORTED_M,
     DataBlock,
     _block_value,
-    _int_to_bits,
     constellation,
     deframe,
     demap_index,
@@ -22,6 +21,7 @@ from fomlink.codec import (
     map_index,
     map_symbol,
 )
+from builders import all_blocks, msb_bits
 
 
 class TestFraming:
@@ -120,10 +120,8 @@ class TestIndexMap:
 
     def test_block_value_is_the_index_and_the_pattern(self):
         for n, m in ((1, 2), (8, 4), (4, 16)):
-            for k in range(1, n + 1):
-                for pattern in range(m):
-                    block = DataBlock(demap_index(k, n), _int_to_bits(pattern, (m - 1).bit_length()))
-                    assert _block_value(block, n, m) == (k - 1, pattern)
+            for block, k, pattern in all_blocks(n, m):
+                assert _block_value(block, n, m) == (k - 1, pattern)
 
     @pytest.mark.parametrize(
         "index_bits, symbol_bits, needle",
@@ -201,9 +199,8 @@ class TestConstellations:
 class TestSymbolMap:
     @pytest.mark.parametrize("m", SUPPORTED_M)
     def test_demap_inverts_map_exhaustively(self, m):
-        width = m.bit_length() - 1
         for pattern in range(m):
-            bits = tuple((pattern >> (width - 1 - i)) & 1 for i in range(width))
+            bits = msb_bits(pattern, m.bit_length() - 1)
             point = map_symbol(bits, m)
             assert demap_symbol(point, m) == bits
 

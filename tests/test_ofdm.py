@@ -18,16 +18,7 @@ from fomlink.ofdm import (
 )
 from fomlink.phy import matched_filter_bank, synthesize_block
 from fomlink.system import SystemConfig, build_frequency_plan
-
-
-def all_blocks(n, m):
-    symbol_width = m.bit_length() - 1
-    for k in range(1, n + 1):
-        for pattern in range(m):
-            yield DataBlock(
-                index_bits=demap_index(k, n),
-                symbol_bits=tuple((pattern >> (symbol_width - 1 - i)) & 1 for i in range(symbol_width)),
-            ), k, pattern
+from builders import all_blocks
 
 
 class TestConfig:

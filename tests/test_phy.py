@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fomlink.codec import DataBlock, constellation, demap_index, demap_symbol, map_symbol
+from fomlink.codec import DataBlock, constellation, demap_index, demap_symbol
 from fomlink.ofdm import OfdmFrame, frame_awgn
 from fomlink.phy import (
     BasebandSignal,
@@ -31,31 +31,8 @@ from fomlink.phy import (
     synthesize_block,
 )
 from fomlink.scenario import run_monte_carlo, scenario_from_dict
-from fomlink.system import SystemConfig, build_frequency_plan
-
-
-def link_config(n=8, m=16, df_t=1.0, oversample=8):
-    # Unit bandwidth and symbol rate keep delta_f * T == df_t directly.
-    return SystemConfig(
-        n=n,
-        m=m,
-        bandwidth_hz=1.0,
-        delta_f_hz=df_t,
-        symbol_rate=1.0,
-        carrier_hz=1e6,
-        oversample=oversample,
-    )
-
-
-def all_blocks(n, m):
-    index_width = (n - 1).bit_length()
-    symbol_width = m.bit_length() - 1
-    for k in range(1, n + 1):
-        for pattern in range(m):
-            yield DataBlock(
-                index_bits=demap_index(k, n),
-                symbol_bits=tuple((pattern >> (symbol_width - 1 - i)) & 1 for i in range(symbol_width)),
-            ), k, pattern
+from fomlink.system import build_frequency_plan
+from builders import all_blocks, link_config, msb_bits, scenario_data
 
 
 def random_block(rng, n, m):
@@ -144,7 +121,7 @@ class TestChannelSpec:
 
 class TestAwgn:
     def test_noiseless_is_bit_exact(self):
-        config = link_config()
+        config = link_config(m=16)
         plan = build_frequency_plan(config)
         block = random_block(np.random.default_rng(0), 8, 16)
         signal = synthesize_block(block, plan, config)
@@ -181,7 +158,7 @@ class TestAwgn:
 
     @pytest.mark.parametrize("symbol_energy", [None, 1.0])
     def test_bare_array_gets_the_record_noise(self, symbol_energy):
-        config = link_config()
+        config = link_config(m=16)
         plan = build_frequency_plan(config)
         signal = synthesize_block(random_block(np.random.default_rng(1), 8, 16), plan, config)
         record_rng, array_rng = np.random.default_rng(8), np.random.default_rng(8)
@@ -306,7 +283,7 @@ class TestAwgnReference:
 
 class TestImpairments:
     def test_rotation_preserves_energy(self):
-        config = link_config()
+        config = link_config(m=16)
         plan = build_frequency_plan(config)
         signal = synthesize_block(random_block(np.random.default_rng(1), 8, 16), plan, config)
         rotated = apply_phase_rotation(signal, 1.234)
@@ -340,7 +317,7 @@ class TestImpairments:
                 assert rotated.k_hat == base.k_hat
 
     def test_frequency_error_preserves_energy(self):
-        config = link_config()
+        config = link_config(m=16)
         plan = build_frequency_plan(config)
         signal = synthesize_block(random_block(np.random.default_rng(2), 8, 16), plan, config)
         moved = apply_carrier_freq_error(signal, 0.37)
@@ -509,11 +486,6 @@ def reference_slice(c, m, count):
     return metrics, patterns
 
 
-def bits_of(pattern, m):
-    width = (m - 1).bit_length()
-    return tuple((pattern >> (width - 1 - i)) & 1 for i in range(width))
-
-
 def reference_pick(metrics):
     """The literal rule: the smallest metric wins, ties go to the smaller index, margin = second - first (0.0 when n == 1)."""
     order = np.argsort(metrics, kind="stable")
@@ -523,7 +495,7 @@ def reference_pick(metrics):
 def reference_joint_ml(signal, plan, m):
     metrics, patterns = reference_slice(matched_filter_bank(signal, plan), m, len(signal))
     best, margin = reference_pick(metrics)
-    return DetectionResult(best + 1, bits_of(patterns[best], m), float(metrics[best]), margin)
+    return DetectionResult(best + 1, msb_bits(patterns[best], (m - 1).bit_length()), float(metrics[best]), margin)
 
 
 def reference_two_stage(signal, plan, m, zero_pad_factor=16):
@@ -552,7 +524,7 @@ def reference_oracle(signal, plan, m):
         patterns.append(int(np.argmin(totals)))
         per_offset[i] = totals[patterns[-1]]
     best, margin = reference_pick(per_offset)
-    return DetectionResult(best + 1, bits_of(patterns[best], m), float(per_offset[best]), margin)
+    return DetectionResult(best + 1, msb_bits(patterns[best], (m - 1).bit_length()), float(per_offset[best]), margin)
 
 
 def assert_same_joint_ml(got, want, count):
@@ -680,13 +652,8 @@ class TestTableRetention:
         # Every df_t point builds its own tone, matched-filter, CFO and snap
         # tables (6 to 91 KiB here); kept after their point, 40 points would
         # hold 1.9 MiB.
-        data = {
-            "system": link_config(n=8, m=4).to_dict(),
-            "channel": {"es_n0_db": 10.0, "phase_rotation": 0.1, "carrier_freq_error": 0.01},
-            "detector": "two-stage",
-            "trials": 2,
-            "seed": 5,
-        }
+        channel = {"es_n0_db": 10.0, "phase_rotation": 0.1, "carrier_freq_error": 0.01}
+        data = scenario_data(channel=channel, detector="two-stage", trials=2, seed=5)
         df_ts = [0.1 * k for k in range(1, 41)]
         rows, held = [], []
         # Frozen, the objects alive before the runs are not scanned again: each

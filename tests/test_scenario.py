@@ -11,7 +11,6 @@ import pytest
 import fomlink.scenario
 import fomlink.system
 from fomlink.cli import main
-from fomlink.codec import DataBlock, _int_to_bits, demap_index
 from fomlink.phy import BasebandSignal, ChannelSpec, detect_joint_ml, synthesize_block
 from fomlink.scenario import (
     METRICS_HEADER,
@@ -27,6 +26,7 @@ from fomlink.scenario import (
     write_metrics_csv,
 )
 from fomlink.system import SystemConfig, build_frequency_plan, validate_config
+from builders import all_blocks, link_config, scenario_data
 from references import (
     biorthogonal_block_error,
     ml_block_error_bounds,
@@ -34,27 +34,8 @@ from references import (
     noncoherent_qam_index_error,
     ofdm_single_silent_index_error,
     ofdm_single_silent_qam_index_error,
+    two_stage_index_error,
 )
-
-
-def scenario_dict(**overrides):
-    data = {
-        "system": {
-            "n": 8,
-            "m": 4,
-            "bandwidth_hz": 1.0,
-            "delta_f_hz": 1.0,
-            "symbol_rate": 1.0,
-            "carrier_hz": 1e6,
-            "oversample": 8,
-        },
-        "channel": {"es_n0_db": 10.0},
-        "detector": "joint-ml",
-        "trials": 64,
-        "seed": 42,
-    }
-    data.update(overrides)
-    return data
 
 
 def render_csv(scenario, rows):
@@ -65,7 +46,7 @@ def render_csv(scenario, rows):
 
 class TestParsing:
     def test_minimal_scenario(self):
-        s = scenario_from_dict(scenario_dict())
+        s = scenario_from_dict(scenario_data())
         assert s.system.n == 8
         assert s.detector == "joint-ml"
         assert s.mode == "fom"
@@ -73,21 +54,21 @@ class TestParsing:
         assert s.zero_pad_factor == 16
 
     def test_json_text_entry_point(self):
-        s = scenario_from_json(json.dumps(scenario_dict(trials=5)))
+        s = scenario_from_json(json.dumps(scenario_data(trials=5)))
         assert s.trials == 5
 
     def test_null_snr_means_noiseless(self):
-        s = scenario_from_dict(scenario_dict(channel={"es_n0_db": None}))
+        s = scenario_from_dict(scenario_data(channel={"es_n0_db": None}))
         assert s.channel.es_n0_db == math.inf
         assert Sweep("es_n0_db", [None, 5]).values == (math.inf, 5.0)
 
     def test_round_trips_through_to_dict(self):
-        s = scenario_from_dict(scenario_dict(sweep={"es_n0_db": [0, 5, None]}))
+        s = scenario_from_dict(scenario_data(sweep={"es_n0_db": [0, 5, None]}))
         again = scenario_from_dict(s.to_dict())
         assert again == s
 
     def test_sweep_axes(self):
-        s = scenario_from_dict(scenario_dict(sweep={"df_t": [0.1, 0.5, 1.0]}))
+        s = scenario_from_dict(scenario_data(sweep={"df_t": [0.1, 0.5, 1.0]}))
         assert s.sweep.axis == "df_t"
         assert s.sweep.values == (0.1, 0.5, 1.0)
 
@@ -115,22 +96,22 @@ class TestParsing:
     )
     def test_rejects_malformed(self, mutate, needle):
         with pytest.raises(ScenarioError, match=needle):
-            scenario_from_dict(scenario_dict(**mutate))
+            scenario_from_dict(scenario_data(**mutate))
 
     def test_missing_top_level_key(self):
-        data = scenario_dict()
+        data = scenario_data()
         del data["seed"]
         with pytest.raises(ScenarioError, match="missing scenario keys: seed"):
             scenario_from_dict(data)
 
     def test_system_errors_surface(self):
-        data = scenario_dict()
+        data = scenario_data()
         data["system"]["n"] = 3
         with pytest.raises(ScenarioError, match="invalid system config"):
             scenario_from_dict(data)
 
     def test_unknown_system_key(self):
-        data = scenario_dict()
+        data = scenario_data()
         data["system"]["bandwdith_hz"] = 1.0
         with pytest.raises(ScenarioError, match="unknown system config keys"):
             scenario_from_dict(data)
@@ -140,45 +121,47 @@ class TestParsing:
             scenario_from_json("{not json")
         with pytest.raises(ScenarioError, match="malformed JSON: nested deeper than the decoder's depth limit"):
             scenario_from_json("[" * 100_000)
+        with pytest.raises(ScenarioError, match=r"malformed JSON: Exceeds the limit \(4300 digits\)"):
+            scenario_from_json('{"trials": ' + "1" * 5000 + "}")
 
     @pytest.mark.parametrize("axis", ["es_n0_db", "df_t"])
     def test_an_empty_sweep_has_one_message(self, axis):
         with pytest.raises(ScenarioError) as parsed:
-            scenario_from_dict(scenario_dict(sweep={axis: []}))
+            scenario_from_dict(scenario_data(sweep={axis: []}))
         with pytest.raises(ScenarioError) as built:
             Sweep(axis, ())
         assert str(parsed.value) == str(built.value) == "sweep values must be a non-empty list"
 
     def test_a_replaced_scenario_is_checked_again(self):
-        s = scenario_from_dict(scenario_dict())
+        s = scenario_from_dict(scenario_data())
         with pytest.raises(ScenarioError, match="ofdm mode supports only the joint-ml detector"):
             replace(s, mode="ofdm", detector="oracle")
 
     def test_each_point_gets_its_config_and_es_n0(self):
-        s = scenario_from_dict(scenario_dict(sweep={"es_n0_db": [0, 5, None]}))
+        s = scenario_from_dict(scenario_data(sweep={"es_n0_db": [0, 5, None]}))
         assert [es_n0_db for _, es_n0_db in _points(s)] == [0.0, 5.0, math.inf]
         assert all(config is s.system for config, _ in _points(s))
-        swept = scenario_from_dict(scenario_dict(sweep={"df_t": [0.5, 1.0]}))
+        swept = scenario_from_dict(scenario_data(sweep={"df_t": [0.5, 1.0]}))
         assert [(config.delta_f_hz, es_n0_db) for config, es_n0_db in _points(swept)] == [(0.5, 10.0), (1.0, 10.0)]
-        assert _points(scenario_from_dict(scenario_dict())) == [(s.system, 10.0)]
+        assert _points(scenario_from_dict(scenario_data())) == [(s.system, 10.0)]
 
     def test_swept_df_t_configs_are_validated(self):
         # 0.001 * symbol_rate shrinks the band so far that the sample budget
         # stays fine, but a negative value must be caught up front.
         with pytest.raises(ScenarioError):
-            scenario_from_dict(scenario_dict(sweep={"df_t": [1.0, 0.0]}))
+            scenario_from_dict(scenario_data(sweep={"df_t": [1.0, 0.0]}))
 
 
 class TestOfdmMode:
     def test_derives_frame_from_system(self):
-        s = scenario_from_dict(scenario_dict(mode="ofdm", trials=16))
+        s = scenario_from_dict(scenario_data(mode="ofdm", trials=16))
         assert s.ofdm is None
         rows = run_monte_carlo(s)
         assert rows[0].mode == "ofdm"
         assert rows[0].n == 8
 
     def test_explicit_frame(self):
-        data = scenario_dict(
+        data = scenario_data(
             mode="ofdm",
             ofdm={"n_subcarriers": 16, "spacing_hz": 1.0, "m": 4, "cp_len": 2, "index_mode": "single-silent"},
         )
@@ -191,7 +174,7 @@ class TestOfdmMode:
         # 4 subcarriers and no prefix: 4 samples, below the tone link's 8-sample minimum.
         channel = {"es_n0_db": None, "phase_rotation": 0.1, "carrier_freq_error": 0.01}
         ofdm = {"n_subcarriers": 4, "spacing_hz": 1.0, "m": 4}
-        data = scenario_dict(mode="ofdm", trials=32, channel=channel, ofdm=ofdm)
+        data = scenario_data(mode="ofdm", trials=32, channel=channel, ofdm=ofdm)
         data["system"]["n"] = 4
         s = scenario_from_dict(data)
         row = run_monte_carlo(s)[0]
@@ -200,14 +183,14 @@ class TestOfdmMode:
 
     def test_requires_joint_ml(self):
         with pytest.raises(ScenarioError, match="joint-ml"):
-            scenario_from_dict(scenario_dict(mode="ofdm", detector="two-stage"))
+            scenario_from_dict(scenario_data(mode="ofdm", detector="two-stage"))
 
     def test_rejects_df_t_sweep(self):
         with pytest.raises(ScenarioError, match="fom mode"):
-            scenario_from_dict(scenario_dict(mode="ofdm", sweep={"df_t": [0.5, 1.0]}))
+            scenario_from_dict(scenario_data(mode="ofdm", sweep={"df_t": [0.5, 1.0]}))
 
     def test_underivable_frame_is_an_error(self):
-        data = scenario_dict(mode="ofdm")
+        data = scenario_data(mode="ofdm")
         data["system"]["delta_f_hz"] = 0.5
         with pytest.raises(ScenarioError, match="delta_f"):
             scenario_from_dict(data)
@@ -215,25 +198,25 @@ class TestOfdmMode:
 
 class TestValidateEntryPoint:
     def test_bare_config(self):
-        report = validate_scenario_or_config(scenario_dict()["system"])
+        report = validate_scenario_or_config(scenario_data()["system"])
         assert report.ok
 
     def test_bare_config_hard_error(self):
-        data = scenario_dict()["system"]
+        data = scenario_data()["system"]
         data["m"] = 5
         report = validate_scenario_or_config(data)
         assert any("m must be" in e for e in report.hard_errors)
 
     def test_full_scenario(self):
-        report = validate_scenario_or_config(scenario_dict())
+        report = validate_scenario_or_config(scenario_data())
         assert report.ok
 
     def test_scenario_level_error(self):
-        report = validate_scenario_or_config(scenario_dict(detector="guesswork"))
+        report = validate_scenario_or_config(scenario_data(detector="guesswork"))
         assert any("detector" in e for e in report.hard_errors)
 
     def test_system_warnings_pass_through(self):
-        data = scenario_dict()
+        data = scenario_data()
         data["system"].update(delta_f_hz=1e6, carrier_hz=100e6, bandwidth_hz=20e6, symbol_rate=1e6, n=2)
         report = validate_scenario_or_config(data)
         assert report.hard_errors == []
@@ -252,11 +235,11 @@ class TestValidateEntryPoint:
 
         for module in (fomlink.scenario, fomlink.system):
             monkeypatch.setattr(module, "validate_config", counted)
-        validate_scenario_or_config(scenario_dict(**overrides))
+        validate_scenario_or_config(scenario_data(**overrides))
         assert len(calls) == configs
 
     def test_both_layers_report(self):
-        data = scenario_dict(detector="guesswork")
+        data = scenario_data(detector="guesswork")
         data["system"]["n"] = 3
         report = validate_scenario_or_config(data)
         assert len(report.hard_errors) >= 2
@@ -292,7 +275,7 @@ class TestWilson:
 
 class TestMonteCarlo:
     def test_noiseless_run_is_error_free(self):
-        s = scenario_from_dict(scenario_dict(channel={"es_n0_db": None}, trials=200))
+        s = scenario_from_dict(scenario_data(channel={"es_n0_db": None}, trials=200))
         row = run_monte_carlo(s)[0]
         assert row.index_error_rate == 0.0
         assert row.symbol_error_rate == 0.0
@@ -303,7 +286,7 @@ class TestMonteCarlo:
         assert row.es_n0_db == math.inf
 
     def test_block_rate_dominates_componentwise_rates(self):
-        s = scenario_from_dict(scenario_dict(trials=2000, channel={"es_n0_db": 3.0}))
+        s = scenario_from_dict(scenario_data(trials=2000, channel={"es_n0_db": 3.0}))
         row = run_monte_carlo(s)[0]
         assert row.block_error_rate >= row.index_error_rate
         assert row.block_error_rate >= row.symbol_error_rate
@@ -326,7 +309,7 @@ class TestMonteCarlo:
     )
     def test_impaired_error_counts_are_pinned(self, detector, ofdm, counts):
         trials = 3000
-        data = scenario_dict(
+        data = scenario_data(
             detector=detector,
             trials=trials,
             seed=2024,
@@ -345,20 +328,20 @@ class TestMonteCarlo:
         assert [round(rate * trials) for rate in rates] == counts
 
     def test_deterministic_given_seed(self):
-        s = scenario_from_dict(scenario_dict(trials=2500, sweep={"es_n0_db": [5.0, 10.0]}))
+        s = scenario_from_dict(scenario_data(trials=2500, sweep={"es_n0_db": [5.0, 10.0]}))
         first = render_csv(s, run_monte_carlo(s))
         second = render_csv(s, run_monte_carlo(s))
         assert first == second
 
     def test_worker_count_does_not_change_the_bytes(self):
-        s = scenario_from_dict(scenario_dict(trials=2500, sweep={"es_n0_db": [5.0, 10.0]}))
+        s = scenario_from_dict(scenario_data(trials=2500, sweep={"es_n0_db": [5.0, 10.0]}))
         serial = render_csv(s, run_monte_carlo(s, workers=1))
         threaded = render_csv(s, run_monte_carlo(s, workers=4))
         assert serial == threaded
 
     def test_different_seed_changes_outcomes(self):
-        a = scenario_from_dict(scenario_dict(trials=500, channel={"es_n0_db": 0.0}))
-        b = scenario_from_dict(scenario_dict(trials=500, channel={"es_n0_db": 0.0}, seed=43))
+        a = scenario_from_dict(scenario_data(trials=500, channel={"es_n0_db": 0.0}))
+        b = scenario_from_dict(scenario_data(trials=500, channel={"es_n0_db": 0.0}, seed=43))
         row_a = run_monte_carlo(a)[0]
         row_b = run_monte_carlo(b)[0]
         assert (row_a.index_error_rate, row_a.mean_runner_up_margin) != (
@@ -367,7 +350,7 @@ class TestMonteCarlo:
         )
 
     def test_snr_sweep_decreases_until_the_floor(self):
-        s = scenario_from_dict(scenario_dict(trials=4000, sweep={"es_n0_db": [0, 5, 10, 15, 20]}))
+        s = scenario_from_dict(scenario_data(trials=4000, sweep={"es_n0_db": [0, 5, 10, 15, 20]}))
         rows = run_monte_carlo(s, workers=4)
         rates = [r.index_error_rate for r in rows]
         for a, b in zip(rates, rates[1:]):
@@ -377,7 +360,7 @@ class TestMonteCarlo:
 
     def test_offset_step_sweep_is_monotone_with_separated_endpoints(self):
         trials = 10_000
-        s = scenario_from_dict(scenario_dict(trials=trials, sweep={"df_t": [0.1, 0.25, 0.5, 1.0]}))
+        s = scenario_from_dict(scenario_data(trials=trials, sweep={"df_t": [0.1, 0.25, 0.5, 1.0]}))
         rows = run_monte_carlo(s, workers=4)
         assert [r.df_t for r in rows] == [0.1, 0.25, 0.5, 1.0]
         rates = [r.index_error_rate for r in rows]
@@ -391,8 +374,8 @@ class TestMonteCarlo:
         # With n = 1 only the slicer decides: square-QAM SER = 1 - (1 - p)^2,
         # p = (1 - 1/sqrt(m)) * erfc(sqrt(3 * Es/N0 / (2 * (m - 1)))) (Proakis).
         trials = 3000
-        system = {**scenario_dict()["system"], "n": 1, "m": m}
-        s = scenario_from_dict(scenario_dict(system=system, trials=trials, sweep={"es_n0_db": list(snrs)}))
+        system = {**scenario_data()["system"], "n": 1, "m": m}
+        s = scenario_from_dict(scenario_data(system=system, trials=trials, sweep={"es_n0_db": list(snrs)}))
         for row in run_monte_carlo(s):
             p = (1 - 1 / math.sqrt(m)) * math.erfc(math.sqrt(3 * 10 ** (row.es_n0_db / 10) / (2 * (m - 1))))
             lo, hi = wilson_interval(round(row.symbol_error_rate * trials), trials)
@@ -412,8 +395,8 @@ class TestMonteCarlo:
         # biorthogonal pair on each tone) the one in 2n.  z = 3.29 is the
         # two-sided 99.9% band, wide enough for nine points on one fixed seed.
         trials = 4000
-        system = {**scenario_dict()["system"], "n": n, "m": m}
-        s = scenario_from_dict(scenario_dict(system=system, trials=trials, sweep={"es_n0_db": [0.0, 3.0, 6.0]}))
+        system = {**scenario_data()["system"], "n": n, "m": m}
+        s = scenario_from_dict(scenario_data(system=system, trials=trials, sweep={"es_n0_db": [0.0, 3.0, 6.0]}))
         for row in run_monte_carlo(s):
             want = biorthogonal_block_error(n if m == 2 else 2 * n, row.es_n0_db)
             lo, hi = wilson_interval(round(row.block_error_rate * trials), trials, z=3.29)
@@ -426,7 +409,7 @@ class TestMonteCarlo:
         trials = 10_000
         rotated = {"es_n0_db": 6.0, "phase_rotation": math.pi / 4}
         s = scenario_from_dict(
-            scenario_dict(detector="noncoherent", trials=trials, channel=rotated, sweep={"es_n0_db": [2.0, 4.0, 6.0]})
+            scenario_data(detector="noncoherent", trials=trials, channel=rotated, sweep={"es_n0_db": [2.0, 4.0, 6.0]})
         )
         for row in run_monte_carlo(s):
             want = noncoherent_fsk_index_error(8, row.es_n0_db)
@@ -434,7 +417,7 @@ class TestMonteCarlo:
             assert lo <= want <= hi, (row.es_n0_db, row.index_error_rate, want)
         # The coherent rule assumes the phase is known: the same rotation costs it index errors.
         still, turned = (
-            run_monte_carlo(scenario_from_dict(scenario_dict(trials=trials, channel=channel)))[0].index_error_rate
+            run_monte_carlo(scenario_from_dict(scenario_data(trials=trials, channel=channel)))[0].index_error_rate
             for channel in ({"es_n0_db": 6.0}, rotated)
         )
         _, hi_still = wilson_interval(round(still * trials), trials)
@@ -449,7 +432,7 @@ class TestMonteCarlo:
         trials = 10_000
         channel = {"es_n0_db": 6.0, "phase_rotation": phase_rotation}
         s = scenario_from_dict(
-            scenario_dict(mode="ofdm", trials=trials, channel=channel, sweep={"es_n0_db": [2.0, 4.0, 6.0]})
+            scenario_data(mode="ofdm", trials=trials, channel=channel, sweep={"es_n0_db": [2.0, 4.0, 6.0]})
         )
         for row in run_monte_carlo(s):
             want = noncoherent_fsk_index_error(8, row.es_n0_db)
@@ -469,10 +452,10 @@ class TestMonteCarlo:
         # its own energy.  There the one-amplitude n-FSK rate lies far
         # outside the band, so a wrong amplitude or calibration would show.
         trials = 4000
-        system = {**scenario_dict()["system"], "m": m}
+        system = {**scenario_data()["system"], "m": m}
         channel = {"es_n0_db": 10.0, "phase_rotation": 0.7}
         s = scenario_from_dict(
-            scenario_dict(mode=mode, detector=detector, system=system, trials=trials, channel=channel, sweep={"es_n0_db": [10.0, 14.0]})
+            scenario_data(mode=mode, detector=detector, system=system, trials=trials, channel=channel, sweep={"es_n0_db": [10.0, 14.0]})
         )
         for row in run_monte_carlo(s):
             want = noncoherent_qam_index_error(8, m, row.es_n0_db)
@@ -495,11 +478,11 @@ class TestMonteCarlo:
         # one amplitude; from 16-QAM on the rate is averaged over the points,
         # and from 6 dB the one-amplitude rate lies outside the band.
         trials = 4000
-        system = {**scenario_dict()["system"], "m": m}
+        system = {**scenario_data()["system"], "m": m}
         ofdm = {"n_subcarriers": 8, "spacing_hz": 1.0, "m": m, "index_mode": "single-silent"}
         channel = {"es_n0_db": 2.0, "phase_rotation": 0.3}
         s = scenario_from_dict(
-            scenario_dict(mode="ofdm", system=system, ofdm=ofdm, trials=trials, channel=channel, sweep={"es_n0_db": [2.0, 4.0, 6.0, 8.0]})
+            scenario_data(mode="ofdm", system=system, ofdm=ofdm, trials=trials, channel=channel, sweep={"es_n0_db": [2.0, 4.0, 6.0, 8.0]})
         )
         for row in run_monte_carlo(s):
             one_amplitude = ofdm_single_silent_index_error(8, row.es_n0_db)
@@ -509,6 +492,31 @@ class TestMonteCarlo:
             if m >= 16 and row.es_n0_db >= 6.0:
                 assert not lo <= one_amplitude <= hi, (row.es_n0_db, row.index_error_rate, one_amplitude)
 
+    @pytest.mark.parametrize(
+        "n, m, df_t, carrier_freq_error, es_n0_db",
+        [
+            (4, 4, 1, 0.0, 6.0),
+            (8, 4, 1, 0.25, 6.0),
+            (4, 4, 2, 0.25, 6.0),  # the bin halfway between two offsets snaps to the lower one
+            (4, 16, 1, 0.25, 10.0),
+            (8, 16, 1, 0.0, 10.0),
+            (4, 4, 1, 0.25, 14.0),
+            (8, 16, 1, 0.25, 14.0),
+        ],
+    )
+    def test_unpadded_two_stage_index_error_is_exact(self, n, m, df_t, carrier_freq_error, es_n0_db):
+        # Unpadded, the FFT bins are independent and each offset sits on a
+        # bin; the carrier error moves the tone off it and leaks into the
+        # neighbours.  At unit symbol rate a bin is 1 Hz.
+        trials = 4000
+        channel = {"es_n0_db": es_n0_db, "phase_rotation": 0.4, "carrier_freq_error": carrier_freq_error}
+        system = link_config(n=n, m=m, df_t=df_t).to_dict()
+        s = scenario_from_dict(scenario_data(system=system, detector="two-stage", zero_pad_factor=1, trials=trials, channel=channel))
+        row = run_monte_carlo(s)[0]
+        want = two_stage_index_error(n, m, es_n0_db, s.system.samples_per_symbol, df_t, carrier_freq_error)
+        lo, hi = wilson_interval(round(row.index_error_rate * trials), trials, z=3.29)
+        assert lo <= want <= hi, (row.index_error_rate, want)
+
     @pytest.mark.parametrize("m", [2, 4])
     @pytest.mark.parametrize("df_t", [0.1, 0.25, 0.5, 0.75])
     def test_joint_ml_block_error_lies_between_the_ml_bounds_at_slight_offsets(self, m, df_t):
@@ -517,14 +525,10 @@ class TestMonteCarlo:
         # the n*m transmitted blocks.  The union bound is nearly tight at
         # 14 dB, so the interval is held to them, never the point estimate.
         trials = 3000
-        system = {**scenario_dict()["system"], "m": m, "delta_f_hz": df_t}
-        s = scenario_from_dict(scenario_dict(system=system, trials=trials, sweep={"es_n0_db": [6.0, 10.0, 14.0]}))
-        plan, width = build_frequency_plan(s.system), (m - 1).bit_length()
-        signals = [
-            synthesize_block(DataBlock(demap_index(k, 8), _int_to_bits(pattern, width)), plan, s.system).samples
-            for k in range(1, 9)
-            for pattern in range(m)
-        ]
+        system = {**scenario_data()["system"], "m": m, "delta_f_hz": df_t}
+        s = scenario_from_dict(scenario_data(system=system, trials=trials, sweep={"es_n0_db": [6.0, 10.0, 14.0]}))
+        plan = build_frequency_plan(s.system)
+        signals = [synthesize_block(block, plan, s.system).samples for block, _, _ in all_blocks(8, m)]
         for row in run_monte_carlo(s):
             lower, upper = ml_block_error_bounds(signals, row.es_n0_db)
             lo, hi = wilson_interval(round(row.block_error_rate * trials), trials, z=3.29)
@@ -535,36 +539,32 @@ class TestMonteCarlo:
         # 16-QAM's points have three amplitudes; the bounds come from all
         # n*m = 128 blocks, at offsets that overlap (0.5) and that do not (1).
         trials = 3000
-        system = {**scenario_dict()["system"], "m": 16, "delta_f_hz": df_t}
-        s = scenario_from_dict(scenario_dict(system=system, trials=trials, sweep={"es_n0_db": [14.0, 16.0, 18.0]}))
+        system = {**scenario_data()["system"], "m": 16, "delta_f_hz": df_t}
+        s = scenario_from_dict(scenario_data(system=system, trials=trials, sweep={"es_n0_db": [14.0, 16.0, 18.0]}))
         plan = build_frequency_plan(s.system)
-        signals = [
-            synthesize_block(DataBlock(demap_index(k, 8), _int_to_bits(pattern, 4)), plan, s.system).samples
-            for k in range(1, 9)
-            for pattern in range(16)
-        ]
+        signals = [synthesize_block(block, plan, s.system).samples for block, _, _ in all_blocks(8, 16)]
         for row in run_monte_carlo(s):
             lower, upper = ml_block_error_bounds(signals, row.es_n0_db)
             lo, hi = wilson_interval(round(row.block_error_rate * trials), trials, z=3.29)
             assert lo <= upper and lower <= hi, (row.es_n0_db, row.block_error_rate, lower, upper)
 
     def test_ofdm_rows(self):
-        s = scenario_from_dict(scenario_dict(mode="ofdm", trials=300, channel={"es_n0_db": 15.0}))
+        s = scenario_from_dict(scenario_data(mode="ofdm", trials=300, channel={"es_n0_db": 15.0}))
         row = run_monte_carlo(s)[0]
         assert row.mode == "ofdm"
         assert row.df_t == 1.0
         assert 0.0 <= row.index_error_rate < 0.2
 
     def test_rejects_bad_worker_count(self):
-        s = scenario_from_dict(scenario_dict(trials=4))
+        s = scenario_from_dict(scenario_data(trials=4))
         with pytest.raises(ValueError):
             run_monte_carlo(s, workers=0)
 
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"system": {**scenario_dict()["system"], "n": 3}},
-            {"system": {**scenario_dict()["system"], "oversample": 1}},
+            {"system": {**scenario_data()["system"], "n": 3}},
+            {"system": {**scenario_data()["system"], "oversample": 1}},
             {"mode": "ofdm", "detector": "two-stage"},
             {"sweep": {"df_t": [1.0, 1e6]}},
             {"detector": "two-stage", "zero_pad_factor": 10**6},
@@ -581,7 +581,7 @@ class TestMonteCarlo:
         ],
     )
     def test_runner_validates_a_scenario_built_directly(self, overrides):
-        data = scenario_dict(**overrides)
+        data = scenario_data(**overrides)
         with pytest.raises(ScenarioError) as parsed:
             scenario_from_dict(data)
         # The same fields, built without scenario_from_dict's checks: the record checks itself.
@@ -603,13 +603,13 @@ class TestMonteCarlo:
         [
             ("channel", None, "channel must be ChannelSpec, got NoneType"),
             ("sweep", {"df_t": [1.0]}, "sweep must be Sweep or None, got dict"),
-            ("system", scenario_dict()["system"], "system must be SystemConfig, got dict"),
+            ("system", scenario_data()["system"], "system must be SystemConfig, got dict"),
         ],
         ids=["channel-None", "sweep-dict", "system-dict"],
     )
     def test_runner_rejects_fields_that_are_not_records(self, field, value, message):
         # The parser always builds records; a scenario built in code may not.
-        scenario = scenario_from_dict(scenario_dict())
+        scenario = scenario_from_dict(scenario_data())
         with pytest.raises(ScenarioError, match=f"^{message}$"):
             replace(scenario, **{field: value})
 
@@ -627,14 +627,14 @@ class TestMonteCarlo:
         for module in (fomlink.scenario, fomlink.system):
             monkeypatch.setattr(module, "validate_config", counted)
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario_dict(trials=2, **overrides)))
+        path.write_text(json.dumps(scenario_data(trials=2, **overrides)))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
         assert len(calls) == points
 
 
 class TestOutputs:
     def test_csv_layout(self):
-        s = scenario_from_dict(scenario_dict(trials=32, sweep={"es_n0_db": [5.0, 10.0]}))
+        s = scenario_from_dict(scenario_data(trials=32, sweep={"es_n0_db": [5.0, 10.0]}))
         text = render_csv(s, run_monte_carlo(s))
         lines = text.splitlines()
         assert lines[0].startswith("# fomlink ")
@@ -652,7 +652,7 @@ class TestOutputs:
         assert scenario_from_dict(embedded) == s
 
     def test_int_channel_values_write_the_parsed_csv(self):
-        data = scenario_dict(trials=16, channel={"es_n0_db": 10, "phase_rotation": 0, "carrier_freq_error": 0})
+        data = scenario_data(trials=16, channel={"es_n0_db": 10, "phase_rotation": 0, "carrier_freq_error": 0})
         parsed = scenario_from_dict(data)
         built = Scenario(SystemConfig.from_dict(data["system"]), ChannelSpec(10, 0, 0), "joint-ml", trials=16, seed=42)
         assert built == parsed
@@ -660,14 +660,14 @@ class TestOutputs:
 
     @pytest.mark.parametrize("mode", ["fom", "ofdm"])
     def test_a_channel_replaced_with_none_writes_the_null_csv(self, mode):
-        parsed = scenario_from_dict(scenario_dict(trials=16, mode=mode, channel={"es_n0_db": None}))
-        built = scenario_from_dict(scenario_dict(trials=16, mode=mode))
+        parsed = scenario_from_dict(scenario_data(trials=16, mode=mode, channel={"es_n0_db": None}))
+        built = scenario_from_dict(scenario_data(trials=16, mode=mode))
         built = replace(built, channel=replace(built.channel, es_n0_db=None))
         assert built == parsed
         assert render_csv(built, run_monte_carlo(built)) == render_csv(parsed, run_monte_carlo(parsed))
 
     def test_signal_dump(self, tmp_path):
-        s = scenario_from_dict(scenario_dict(trials=16, channel={"es_n0_db": None}))
+        s = scenario_from_dict(scenario_data(trials=16, channel={"es_n0_db": None}))
         out = tmp_path / "dump.csv"
         with out.open("w") as fh:
             run_monte_carlo(s, dump_signals=fh)
@@ -685,7 +685,7 @@ class TestOutputs:
         float(re), float(im)
 
     def test_dump_shows_the_counted_draws(self):
-        s = scenario_from_dict(scenario_dict(trials=8, channel={"es_n0_db": 0.0}))
+        s = scenario_from_dict(scenario_data(trials=8, channel={"es_n0_db": 0.0}))
         buf = io.StringIO()
         row = run_monte_carlo(s, dump_signals=buf)[0]
         config = s.system
@@ -702,7 +702,7 @@ class TestOutputs:
 
     def test_adjacent_seeds_draw_independent_streams(self):
         def dumped_blocks(seed):
-            s = scenario_from_dict(scenario_dict(trials=4, seed=seed))
+            s = scenario_from_dict(scenario_data(trials=4, seed=seed))
             buf = io.StringIO()
             run_monte_carlo(s, dump_signals=buf)
             return [block.split(" ", 1)[1] for block in buf.getvalue().split("# block ")[1:]]
@@ -711,7 +711,7 @@ class TestOutputs:
         assert dumped_blocks(42)[1] != dumped_blocks(43)[0]
 
     def test_dump_covers_only_the_first_sweep_point(self, tmp_path):
-        s = scenario_from_dict(scenario_dict(trials=4, sweep={"es_n0_db": [None, 0.0]}))
+        s = scenario_from_dict(scenario_data(trials=4, sweep={"es_n0_db": [None, 0.0]}))
         out = tmp_path / "dump.csv"
         with out.open("w") as fh:
             run_monte_carlo(s, dump_signals=fh)

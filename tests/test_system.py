@@ -185,7 +185,9 @@ class TestJson:
         text = json.dumps(make_config(n=4).to_dict())
         assert SystemConfig.from_json(text).n == 4
 
-    @pytest.mark.parametrize("text", ["{not json", "[" * 100_000], ids=["unclosed", "deep-array"])
+    @pytest.mark.parametrize(
+        "text", ["{not json", "[" * 100_000, '{"n": ' + "1" * 5000 + "}"], ids=["unclosed", "deep-array", "5000-digit-integer"]
+    )
     def test_text_that_does_not_decode_is_an_error(self, text):
         with pytest.raises(ValueError, match="malformed JSON"):
             SystemConfig.from_json(text)
