@@ -63,19 +63,9 @@ def _check_mn(m: float, n: float) -> None:
     _check_n(n)
 
 
-def _check_eta(value: float) -> None:
-    if not 0 <= value <= _FLOAT_MAX:
-        raise ValueError(f"eta must be finite and nonnegative, got {value!r}")
-
-
 def _check_rates(symbol_rate: float, bandwidth_hz: float) -> None:
     if not (0 < symbol_rate <= _FLOAT_MAX and 0 < bandwidth_hz <= _FLOAT_MAX):
         raise ValueError("symbol_rate and bandwidth_hz must be finite and positive")
-
-
-def _check_delta_b(delta_b_hz: float) -> None:
-    if not 0 <= delta_b_hz <= _FLOAT_MAX:
-        raise ValueError(f"delta_b_hz must be finite and nonnegative, got {delta_b_hz!r}")
 
 
 # The closed forms, unchecked: each public function checks its own inputs, and GridSpec the grid walk's.
@@ -99,6 +89,11 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
+def _nonnegative(name: str, value: float) -> None:
+    if not 0 <= value <= _FLOAT_MAX:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 def energy_efficiency_ratio(m: float, n: float) -> float:
     """Transmit energy per bit, FOM relative to the one-transmitter baseline.
 
@@ -119,7 +114,7 @@ def symbol_spectral_efficiency(symbol_rate: float, m: float, bandwidth_hz: float
 def fom_spectral_efficiency(symbol_rate: float, m: float, n: float, bandwidth_hz: float, delta_b_hz: float) -> float:
     """FOM bits/s/Hz: R * (log2(m) + log2(n)) / (B + delta_b)."""
     _check_rates(symbol_rate, bandwidth_hz)
-    _check_delta_b(delta_b_hz)
+    _nonnegative("delta_b_hz", delta_b_hz)
     _check_mn(m, n)
     return _positive("es", _efficiency(symbol_rate, math.log2(m) + math.log2(n), bandwidth_hz + delta_b_hz))
 
@@ -127,14 +122,14 @@ def fom_spectral_efficiency(symbol_rate: float, m: float, n: float, bandwidth_hz
 def spectral_efficiency_ratio(m: float, n: float, eta: float) -> float:
     """Spectral efficiency gain over the baseline: (1 + log_m n) / (1 + eta)."""
     _check_mn(m, n)
-    _check_eta(eta)
+    _nonnegative("eta", eta)
     return _ratios(_index_term(m, n), eta)[1]
 
 
 def min_tx_count(m: float, eta: float) -> float:
     """Smallest array size with spectral_efficiency_ratio >= 1: m ** eta, computed in floats."""
     _check_m(m)
-    _check_eta(eta)
+    _nonnegative("eta", eta)
     try:
         return float(m) ** float(eta)
     except OverflowError:
@@ -148,7 +143,7 @@ def hybrid_ratios(m: float, n: float, eta: float) -> tuple[float, float]:
     index term 2 * log_m(n) replaces log_m(n) in both ratios.
     """
     _check_mn(m, n)
-    _check_eta(eta)
+    _nonnegative("eta", eta)
     return _ratios(2.0 * _index_term(m, n), eta)
 
 
@@ -206,8 +201,8 @@ class GridSpec:
             _check_n(n)
         for eta in self.eta_values:
             if self.bandwidth_hz is not None:
-                _check_delta_b(eta * self.bandwidth_hz if abs(eta) <= _FLOAT_MAX else eta)
-            _check_eta(eta)
+                _nonnegative("delta_b_hz", eta * self.bandwidth_hz if abs(eta) <= _FLOAT_MAX else eta)
+            _nonnegative("eta", eta)
         if self.bandwidth_hz is not None:
             for p in (_point(self, max(self.m_values), max(self.n_values), min(self.eta_values)),
                       _point(self, min(self.m_values), min(self.n_values), max(self.eta_values))):

@@ -244,7 +244,7 @@ def validate_config(config: SystemConfig) -> ValidationReport:
                     f"delta_f/carrier = {offset_ratio:.3g} exceeds {OFFSET_TO_CARRIER_WARN:g}; "
                     "offsets are not small relative to the carrier"
                 )
-            expansion_ratio = config.delta_b_hz / config.bandwidth_hz
+            expansion_ratio = eta(config)
             if expansion_ratio > EXPANSION_TO_BAND_WARN:
                 report.soft_warnings.append(
                     f"delta_b/bandwidth = {expansion_ratio:.3g} exceeds {EXPANSION_TO_BAND_WARN:g}; "

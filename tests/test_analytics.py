@@ -300,7 +300,7 @@ class TestGrid:
             assert good and grid_sweep(spec) == rows
 
     def test_writing_a_grid_checks_each_axis_value_once(self, monkeypatch):
-        calls = dict.fromkeys((name for name in vars(analytics) if name.startswith("_check_")), 0)
+        calls = dict.fromkeys((name for name in vars(analytics) if name.startswith("_check_") or name in ("_nonnegative", "_positive")), 0)
         for name in calls:
 
             def counted(*args, _name=name, _check=getattr(analytics, name)):
@@ -312,7 +312,8 @@ class TestGrid:
         out = io.StringIO()
         run_efficiency_grid(spec, out)
         assert len(out.getvalue().splitlines()) == 2 + 12
-        assert calls == {"_check_m": 4, "_check_n": 3, "_check_mn": 0, "_check_eta": 1, "_check_rates": 1, "_check_delta_b": 1}
+        # One eta value: one nonnegative check as itself and one as its delta_b.
+        assert calls == {"_check_m": 4, "_check_n": 3, "_check_mn": 0, "_check_rates": 1, "_nonnegative": 2, "_positive": 0}
 
 
 INF, NAN = math.inf, math.nan

@@ -30,10 +30,12 @@ from builders import all_blocks, link_config, scenario_data
 from references import (
     biorthogonal_block_error,
     ml_block_error_bounds,
+    noncoherent_cfo_index_error,
     noncoherent_fsk_index_error,
     noncoherent_qam_index_error,
     ofdm_single_silent_index_error,
     ofdm_single_silent_qam_index_error,
+    qpsk_rotation_errors,
     two_stage_index_error,
 )
 
@@ -516,6 +518,63 @@ class TestMonteCarlo:
         want = two_stage_index_error(n, m, es_n0_db, s.system.samples_per_symbol, df_t, carrier_freq_error)
         lo, hi = wilson_interval(round(row.index_error_rate * trials), trials, z=3.29)
         assert lo <= want <= hi, (row.index_error_rate, want)
+
+    def test_the_cfo_reference_reduces_to_fsk_without_an_error(self):
+        for n, m, es_n0_db in ((4, 4, 6.0), (8, 16, 10.0)):
+            want = noncoherent_qam_index_error(n, m, es_n0_db)
+            assert noncoherent_cfo_index_error(n, m, es_n0_db, 8 * n) == pytest.approx(want, abs=2e-4)
+            assert noncoherent_cfo_index_error(n, m, es_n0_db, n) == pytest.approx(want, abs=2e-4)
+
+    @pytest.mark.parametrize(
+        "mode, detector, n, m, carrier_freq_error, es_n0_db, phase_rotation",
+        [
+            ("fom", "noncoherent", 4, 4, 0.4, 12.0, 0.0),
+            ("fom", "noncoherent", 4, 16, 0.25, 10.0, 0.5),
+            ("fom", "noncoherent", 8, 4, 0.1, 6.0, 0.7),
+            ("fom", "noncoherent", 8, 16, 0.3, 14.0, 0.0),
+            ("ofdm", "joint-ml", 8, 4, 0.4, 12.0, 0.3),
+            ("ofdm", "joint-ml", 16, 4, 0.25, 10.0, 0.0),
+        ],
+    )
+    def test_noncoherent_index_error_under_cfo_is_exact(self, mode, detector, n, m, carrier_freq_error, es_n0_db, phase_rotation):
+        # The CFO phasor restarts with every interval, so at integer df_t a
+        # carrier error of delta bins only leaks each tone (each OFDM bin) into
+        # the other outputs by the Dirichlet kernel; the outputs stay
+        # independent, and the index, the largest of them, ignores the phase.
+        # At unit symbol rate (and unit OFDM spacing) a bin is 1 Hz.
+        trials = 4000
+        channel = {"es_n0_db": es_n0_db, "phase_rotation": phase_rotation, "carrier_freq_error": carrier_freq_error}
+        system = link_config(n=n, m=m).to_dict()
+        s = scenario_from_dict(scenario_data(mode=mode, detector=detector, system=system, trials=trials, channel=channel))
+        row = run_monte_carlo(s)[0]
+        samples = s.system.samples_per_symbol if mode == "fom" else n
+        want = noncoherent_cfo_index_error(n, m, es_n0_db, samples, 1, carrier_freq_error)
+        lo, hi = wilson_interval(round(row.index_error_rate * trials), trials, z=3.29)
+        assert lo <= want <= hi, (row.index_error_rate, want)
+
+    def test_the_rotation_reference_is_biorthogonal_at_zero_phase(self):
+        for n, es_n0_db in ((4, 6.0), (8, 12.0)):
+            assert qpsk_rotation_errors(n, es_n0_db, 0.0)[1] == pytest.approx(biorthogonal_block_error(2 * n, es_n0_db), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "detector, n, phase_rotation, es_n0_db",
+        [
+            ("joint-ml", 4, 0.3, 6.0),
+            ("joint-ml", 8, 0.6, 10.0),
+            ("oracle", 4, 0.7, 12.0),
+        ],
+    )
+    def test_coherent_errors_under_rotation_are_exact(self, detector, n, phase_rotation, es_n0_db):
+        # The coherent rules assume the phase is known: a turned QPSK point
+        # drifts toward its neighbours' quadrants and shrinks its own tone's
+        # |Re c| + |Im c| against the others'.
+        trials = 4000
+        channel = {"es_n0_db": es_n0_db, "phase_rotation": phase_rotation}
+        s = scenario_from_dict(scenario_data(detector=detector, system=link_config(n=n).to_dict(), trials=trials, channel=channel))
+        row = run_monte_carlo(s)[0]
+        for rate, want in zip((row.index_error_rate, row.block_error_rate), qpsk_rotation_errors(n, es_n0_db, phase_rotation)):
+            lo, hi = wilson_interval(round(rate * trials), trials, z=3.29)
+            assert lo <= want <= hi, (rate, want)
 
     @pytest.mark.parametrize("m", [2, 4])
     @pytest.mark.parametrize("df_t", [0.1, 0.25, 0.5, 0.75])
