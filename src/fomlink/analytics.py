@@ -48,13 +48,14 @@ CSV_HEADER = "m,n,eta,gamma_ee,gamma_se,e0,es"
 _FLOAT_MAX = math.nextafter(math.inf, 0.0)  # the largest float: an int above it (10**400) has no float, so is not finite
 
 
-def _check_m(m: float) -> None:
-    if not 1 < m < math.inf:
+# An integer m or n past the float range has a finite log2; a grid, whose rows are floats, passes top=_FLOAT_MAX.
+def _check_m(m: float, top: float = math.inf) -> None:
+    if not (1 < m < math.inf and m <= top):
         raise ValueError(f"m must be finite and exceed 1, got {m!r}")
 
 
-def _check_n(n: float) -> None:
-    if not 1 <= n < math.inf:
+def _check_n(n: float, top: float = math.inf) -> None:
+    if not (1 <= n < math.inf and n <= top):
         raise ValueError(f"n must be finite and at least 1, got {n!r}")
 
 
@@ -196,9 +197,9 @@ class GridSpec:
         if self.bandwidth_hz is not None:
             _check_rates(self.symbol_rate, self.bandwidth_hz)
         for m in self.m_values:
-            _check_m(m)
+            _check_m(m, _FLOAT_MAX)
         for n in self.n_values:
-            _check_n(n)
+            _check_n(n, _FLOAT_MAX)
         for eta in self.eta_values:
             if self.bandwidth_hz is not None:
                 _nonnegative("delta_b_hz", eta * self.bandwidth_hz if abs(eta) <= _FLOAT_MAX else eta)

@@ -81,9 +81,9 @@ class BasebandSignal:
 class ChannelSpec:
     """Impairment settings applied between synthesis and detection.
 
-    es_n0_db may be math.inf or None for a noiseless channel.  phase_rotation is
-    normalized into [0, 2*pi); carrier_freq_error is a baseband shift in Hz.
-    All three are checked when the spec is built and stored as floats.
+    es_n0_db is at least ES_N0_FLOOR_DB, or math.inf or None (noiseless).
+    phase_rotation is normalized into [0, 2*pi); carrier_freq_error is a
+    baseband shift in Hz.  All three are checked when built and stored as floats.
     """
 
     es_n0_db: float
@@ -102,17 +102,27 @@ class ChannelSpec:
         object.__setattr__(self, "carrier_freq_error", float(self.carrier_freq_error))
 
 
+# The lowest es_n0_db simulated, noise power N0 = 1e100.  The largest product a kernel forms is
+# single-silent OFDM's sum of |bin|^2 * bin over up to 2**19 bins (n * MIN_SAMPLES_PER_SYMBOL <=
+# MAX_TABLE_ENTRIES), about N0**1.5 * 2**19 = 5e155 (the fom kernels' |c|^2 <= 2**44 * N0): it
+# reaches the float maximum 1.8e308 near -2000 dB, so -1000 dB leaves 150 decades for the noise tail.
+ES_N0_FLOOR_DB = -1000.0
+
+
 def _checked_es_n0(value, error: type[ValueError] = ValueError) -> float:
-    """``value`` as a float es_n0_db, noiseless None or +inf as +inf; its noise power 10**(-es_n0_db/10) must be finite."""
+    """``value`` as a float es_n0_db of at least ES_N0_FLOOR_DB, noiseless None or +inf as +inf."""
     if value is None:
         return math.inf
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(10.0 ** (-float(value) / 10.0)):
-                return float(value)
-        except OverflowError:
-            pass
-    raise error(f"es_n0_db must be a number or null (noiseless) with finite noise power, got {value!r}")
+    if (_is_real(value) or value == math.inf) and value >= ES_N0_FLOOR_DB:
+        return float(value)
+    raise error(f"es_n0_db must be a number >= {ES_N0_FLOOR_DB:g} or null (noiseless), got {value!r}")
+
+
+def _checked_zero_pad(value, error: type[ValueError] = ValueError) -> int:
+    """``value`` if it is a two-stage zero_pad_factor: an integer >= 1, not a bool."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
+        return value
+    raise error(f"zero_pad_factor must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -228,20 +238,6 @@ def matched_filter_bank(signal: BasebandSignal, plan: FrequencyPlan) -> np.ndarr
     return (signal.samples[None] @ _conj_tones(plan.offsets, len(signal), signal.sample_rate).T)[0]
 
 
-def _slicer(m: int, count: int):
-    """ML metric after slicing each c_k / S (ties to the smaller pattern), plus
-    the patterns, for c of any shape; conj(a) and |a|^2 * S, the fixed parts
-    of the metric, are built here once."""
-    table = constellation(m)
-    conj_a, energy = np.conj(table), np.abs(table) ** 2 * count
-
-    def slice_metrics(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        patterns = _demap_patterns(c / count, m)
-        return -2.0 * (conj_a[patterns] * c).real + energy[patterns], patterns
-
-    return slice_metrics
-
-
 def _pick(metrics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest-metric index along the last axis (ties to the smaller index) and the runner-up gap (0 when n == 1), bit for bit
     a stable argsort's; a partition may swap a -0.0/0.0 tie's signs on long rows, but each kernel's metric has one sign at zero."""
@@ -265,11 +261,16 @@ def _detection(kernel_result, m: int) -> DetectionResult:
 
 
 def _joint_ml_rows(conj_tones: np.ndarray, m: int):
-    """Batch kernel of `detect_joint_ml`."""
-    slice_metrics = _slicer(m, conj_tones.shape[-1])
+    """Batch kernel of `detect_joint_ml`: the ML metric after slicing each c_k / S (ties to the
+    smaller pattern); conj(a) and |a|^2 * S, the fixed parts of the metric, are built once."""
+    count = conj_tones.shape[-1]
+    table = constellation(m)
+    conj_a, energy = np.conj(table), np.abs(table) ** 2 * count
 
     def kernel(part):
-        metrics, patterns = slice_metrics(part @ conj_tones.T)
+        c = part @ conj_tones.T
+        patterns = _demap_patterns(c / count, m)
+        metrics = -2.0 * (conj_a[patterns] * c).real + energy[patterns]
         best, margin = _pick(metrics)
         return best, _at(patterns, best), _at(metrics, best), margin
 
@@ -418,9 +419,7 @@ def detect_two_stage(
     negated peak magnitude and the margin is the gap to the best peak that
     snaps to any other offset.
     """
-    if zero_pad_factor < 1:
-        raise ValueError(f"zero_pad_factor must be >= 1, got {zero_pad_factor!r}")
-    return _decide("two-stage", signal, plan, m, zero_pad_factor)
+    return _decide("two-stage", signal, plan, m, _checked_zero_pad(zero_pad_factor))
 
 
 def brute_force_oracle(signal: BasebandSignal, plan: FrequencyPlan, m: int) -> DetectionResult:

@@ -32,6 +32,7 @@ from .phy import (
     ChannelSpec,
     _cfo_phasor,
     _checked_es_n0,
+    _checked_zero_pad,
     _fom_link,
     awgn,
     detect_joint_ml,  # not called here: linkbench's tracing tests look it up in this namespace
@@ -117,8 +118,7 @@ class Scenario:
             raise ScenarioError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
             raise ScenarioError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not isinstance(self.zero_pad_factor, int) or isinstance(self.zero_pad_factor, bool) or self.zero_pad_factor < 1:
-            raise ScenarioError(f"zero_pad_factor must be an integer >= 1, got {self.zero_pad_factor!r}")
+        _checked_zero_pad(self.zero_pad_factor, ScenarioError)
         for name, record in (("system", SystemConfig), ("channel", ChannelSpec), ("ofdm", OfdmConfig), ("sweep", Sweep)):
             value, optional = getattr(self, name), name in ("ofdm", "sweep")
             if not (isinstance(value, record) or optional and value is None):

@@ -240,6 +240,9 @@ class TestGrid:
             ),
             ({"eta_values": [10**400], "symbol_rate": 1.0, "bandwidth_hz": 1.0}, f"delta_b_hz must be finite and nonnegative, got {10**400}"),
             ({"eta_values": [10**400]}, f"eta must be finite and nonnegative, got {10**400}"),
+            # Integers past the float range: the rows are floats, so a grid cannot hold them.
+            ({"m_values": [4, 10**400]}, f"m must be finite and exceed 1, got {10**400}"),
+            ({"n_values": [10**400]}, f"n must be finite and at least 1, got {10**400}"),
             # The smallest e0 and es: a band B * (1 + eta) beyond the float range, or a rate product below it.
             ({"eta_values": [1.0], "symbol_rate": 1.0, "bandwidth_hz": 1e308}, "e0 and es must be positive, got 2e-308 and 0.0 at m=4, n=2, eta=1.0"),
             ({"eta_values": [0.5], "symbol_rate": 5e-324, "bandwidth_hz": 1e10}, "e0 and es must be positive, got 0.0 and 0.0 at m=4, n=2, eta=0.5"),

@@ -527,6 +527,27 @@ class TestInputBoundary:
         assert main(["simulate", "--config", str(config)]) == EXIT_INVALID
         assert capsys.readouterr().err.strip() == "error: " + errors[0].removeprefix("ERROR: ")
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"detector": "oracle", "channel": {"es_n0_db": -3050.0}},
+            {"detector": "joint-ml", "channel": {"es_n0_db": -3075.0}},
+            {"detector": "two-stage", "channel": {"es_n0_db": -3075.0}},
+            {"mode": "ofdm", "ofdm": {"n_subcarriers": 8, "spacing_hz": 1.0, "m": 4}, "channel": {"es_n0_db": -3079.0}},
+            {"mode": "ofdm", "ofdm": {"n_subcarriers": 8, "spacing_hz": 1.0, "m": 4, "index_mode": "single-silent"},
+             "sweep": {"es_n0_db": [10.0, -2060.0]}},
+        ],
+        ids=["oracle", "joint-ml", "two-stage", "single-active", "single-silent-sweep"],
+    )
+    def test_an_es_n0_db_below_the_floor_is_one_error_line(self, tmp_path, capsys, overrides):
+        # Each SNR has a finite noise power, but a kernel overflowed there before the floor.
+        config = scenario_file(tmp_path, trials=16, **overrides)
+        assert main(["validate", "--config", str(config)]) == EXIT_INVALID
+        errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("ERROR:")]
+        assert len(errors) == 1 and "es_n0_db must be a number >= -1000" in errors[0]
+        assert main(["simulate", "--config", str(config)]) == EXIT_INVALID
+        assert capsys.readouterr().err.strip() == "error: " + errors[0].removeprefix("ERROR: ")
+
 
 
 _DELETE = object()

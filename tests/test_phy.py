@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 from fomlink.codec import DataBlock, constellation, demap_index, demap_symbol
 from fomlink.ofdm import OfdmFrame, frame_awgn
 from fomlink.phy import (
+    ES_N0_FLOOR_DB,
     BasebandSignal,
     ChannelSpec,
     DetectionResult,
     _conj_tones,
+    _joint_ml_rows,
     _pick,
-    _slicer,
     _snap_regions,
     apply_carrier_freq_error,
     apply_phase_rotation,
@@ -106,11 +107,22 @@ class TestChannelSpec:
         assert ChannelSpec(es_n0_db=math.inf).es_n0_db == math.inf
         assert ChannelSpec(None) == ChannelSpec(math.inf)
 
+    def test_the_floor_is_the_lowest_es_n0_db(self):
+        assert ChannelSpec(ES_N0_FLOOR_DB).es_n0_db == ES_N0_FLOOR_DB == -1000.0
+        assert ChannelSpec(-1000).es_n0_db == -1000.0
+
     def test_rejects_nan_and_negative_infinity(self):
         for spec in (
             {"es_n0_db": math.nan},
             {"es_n0_db": -math.inf},
             {"es_n0_db": -1e308},  # finite, but its noise power 10**30.8 overflows
+            # Finite noise power, but below the floor: the oracle, joint-ml and two-stage, OFDM single-active and
+            # single-silent kernels overflowed at these SNRs (8x4, 16 trials).
+            {"es_n0_db": -3050.0},
+            {"es_n0_db": -3075},
+            {"es_n0_db": -3079.0},
+            {"es_n0_db": -2060.0},
+            {"es_n0_db": math.nextafter(ES_N0_FLOOR_DB, -math.inf)},
             {"es_n0_db": True},
             {"es_n0_db": "1"},
             {"es_n0_db": 10.0, "phase_rotation": math.nan},
@@ -448,8 +460,9 @@ class TestDetectors:
         config = link_config(n=4, m=4)
         plan = build_frequency_plan(config)
         signal = synthesize_block(DataBlock(index_bits=(0, 0), symbol_bits=(0, 0)), plan, config)
-        with pytest.raises(ValueError):
-            detect_two_stage(signal, plan, 4, zero_pad_factor=0)
+        for bad in (0, True, 2.5, "2"):
+            with pytest.raises(ValueError, match=re.escape(f"zero_pad_factor must be an integer >= 1, got {bad!r}")):
+                detect_two_stage(signal, plan, 4, zero_pad_factor=bad)
 
     def test_margins_are_nonnegative_under_noise(self):
         config = link_config(n=8, m=4)
@@ -596,7 +609,11 @@ class TestKernelsMatchPerOffsetLoops:
         # The origin and each point's real part lie at equal distance from
         # mirror-image points; the sign symmetry makes those ties exact.
         c = count * np.concatenate([[0.0], table.real, 1j * table.imag])
-        metrics, patterns = _slicer(m, count)(c)
+        # With n = 1 and the matched filter np.eye(1, count), row i's one output is its sample 0, c[i].
+        rows = np.zeros((len(c), count), dtype=complex)
+        rows[:, 0] = c
+        kernel, _ = _joint_ml_rows(np.eye(1, count), m)
+        _, patterns, metrics, _ = kernel(rows)
         want_metrics, want_patterns = reference_slice(c, m, count)
         assert patterns.tolist() == want_patterns
         assert metrics == pytest.approx(want_metrics, rel=1e-12, abs=1e-12 * count)

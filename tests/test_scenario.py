@@ -11,7 +11,7 @@ import pytest
 import fomlink.scenario
 import fomlink.system
 from fomlink.cli import main
-from fomlink.phy import BasebandSignal, ChannelSpec, detect_joint_ml, synthesize_block
+from fomlink.phy import DETECTORS, ES_N0_FLOOR_DB, BasebandSignal, ChannelSpec, detect_joint_ml, synthesize_block
 from fomlink.scenario import (
     METRICS_HEADER,
     Scenario,
@@ -85,6 +85,9 @@ class TestParsing:
             (dict(seed=-1), "seed"),
             (dict(seed=2**64), "seed"),
             (dict(zero_pad_factor=0), "zero_pad_factor"),
+            (dict(zero_pad_factor=2.5), "zero_pad_factor must be an integer >= 1, got 2.5"),
+            (dict(zero_pad_factor=True), "zero_pad_factor must be an integer >= 1, got True"),
+            (dict(zero_pad_factor="2"), "zero_pad_factor must be an integer >= 1, got '2'"),
             (dict(sweep={"es_n0_db": []}), "sweep values"),
             (dict(sweep={"df_t": [0.5, -1.0]}), "df_t sweep values"),
             (dict(sweep={"power": [1]}), "sweep axis"),
@@ -94,6 +97,7 @@ class TestParsing:
             (dict(channel={"es_n0_db": 1, "fading": "rayleigh"}), "unknown channel keys"),
             (dict(extra_field=1), "unknown scenario keys"),
             (dict(channel={"es_n0_db": -1e308}), "es_n0_db"),
+            (dict(channel={"es_n0_db": -2060.0}), "es_n0_db must be a number >= -1000"),
         ],
     )
     def test_rejects_malformed(self, mutate, needle):
@@ -276,6 +280,20 @@ class TestWilson:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize(
+        "n, overrides",
+        [(8, {"detector": d}) for d in DETECTORS]
+        + [(n, {"mode": "ofdm", "ofdm": {"n_subcarriers": n, "spacing_hz": 1.0, "m": 4, "index_mode": mode}})
+           for n, mode in ((8, "single-active"), (8, "single-silent"), (256, "single-silent"))],
+        ids=[*DETECTORS, "single-active", "single-silent", "single-silent-n256"],
+    )
+    def test_the_lowest_es_n0_db_runs_with_finite_margins(self, n, overrides):
+        # RuntimeWarning is an error under pytest, so an overflow anywhere in a kernel fails the run.
+        data = scenario_data(system=link_config(n=n).to_dict(), channel={"es_n0_db": ES_N0_FLOOR_DB}, trials=16, **overrides)
+        (row,) = run_monte_carlo(scenario_from_dict(data))
+        assert math.isfinite(row.mean_runner_up_margin) and row.mean_runner_up_margin >= 0.0
+        assert 0.0 <= row.bit_error_rate <= row.block_error_rate <= 1.0
+
     def test_noiseless_run_is_error_free(self):
         s = scenario_from_dict(scenario_data(channel={"es_n0_db": None}, trials=200))
         row = run_monte_carlo(s)[0]
@@ -635,7 +653,9 @@ class TestMonteCarlo:
             {"mode": "otfs"},
             {"detector": "viterbi"},
             {"zero_pad_factor": 0},
+            {"zero_pad_factor": 2.5},
             {"sweep": {"es_n0_db": [-1e308]}},
+            {"sweep": {"es_n0_db": [10.0, -2060.0]}},
             {"sweep": {"df_t": [0.5, -1.0]}},
         ],
     )
