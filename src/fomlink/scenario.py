@@ -339,18 +339,13 @@ def _count_chunk(scenario: Scenario, point, es_n0_db: float, start: int, stop: i
     # (index, pattern) rows; drawn as whole values, they need no map_index check.
     truth = np.array(np.divmod(rng.integers(0, 1 << (index_len + symbol_len), size=size), 1 << symbol_len))
     rotation = np.exp(1j * theta)
-    # Equal blocks of at most link.rows rows (128 frames of 80 samples make
-    # 43+43+42 rows, not 51+51+26): temporaries of one size reuse each
-    # other's heap memory, which measurably leaves fewer free holes behind.
-    blocks = -(-size // link.rows)
-    step = -(-size // blocks)
-    received_rows = np.empty((step, link.width), dtype=np.complex128)
+    received_rows = np.empty((min(size, link.rows), link.width), dtype=np.complex128)
     dumped = _DUMP_BLOCKS - start if dump is not None else 0  # the chunk's trials r < dumped are dumped
     # Every trial's decided index and pattern and its margin: counted after the last block.
     decided = np.empty((2, size), dtype=np.int64)
     margins = np.empty(size)
-    for lo in range(0, size, step):
-        hi = min(lo + step, size)
+    for lo in range(0, size, link.rows):
+        hi = min(lo + link.rows, size)
         block = received_rows[: hi - lo]
         link.transmit(truth[0, lo:hi], truth[1, lo:hi], block)
         if theta:

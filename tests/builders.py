@@ -1,8 +1,9 @@
-"""Inputs that several test files build alike: the unit-rate link, its base scenario, and blocks from bit patterns.
+"""Inputs that several test files build alike: the unit-rate link, its base scenario, blocks from bit patterns, and a rate's Wilson band.
 
 Only public fomlink names are used, and bits are unpacked here, so the tests do not lean on the codec's own helpers."""
 
 from fomlink.codec import DataBlock, demap_index
+from fomlink.scenario import wilson_interval
 from fomlink.system import SystemConfig
 
 
@@ -22,6 +23,12 @@ def scenario_data(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def rate_band(rate, trials, z=None):
+    """The Wilson interval of the error count behind ``rate`` over ``trials``: 95%, or two-sided at ``z``."""
+    count = round(rate * trials)
+    return wilson_interval(count, trials) if z is None else wilson_interval(count, trials, z)
 
 
 def msb_bits(value, width):

@@ -32,11 +32,10 @@ from fomlink.phy import (
 from fomlink.scenario import (
     run_monte_carlo,
     scenario_from_dict,
-    wilson_interval,
     write_metrics_csv,
 )
 from fomlink.system import SystemConfig, build_frequency_plan
-from builders import all_blocks, link_config, scenario_data
+from builders import all_blocks, link_config, rate_band, scenario_data
 
 POW2_M = [2, 4, 16, 64, 256, 1024, 4096]
 POW2_N = [1, 2, 4, 8, 16, 32, 64, 128]
@@ -178,8 +177,8 @@ def test_criterion_10_narrow_offsets_cost_errors():
     s = scenario_from_dict(scenario_data(trials=trials, sweep={"df_t": [0.1, 1.0]}))
     rows = run_monte_carlo(s, workers=4)
     narrow, wide = rows[0].index_error_rate, rows[1].index_error_rate
-    lo_narrow, _ = wilson_interval(round(narrow * trials), trials)
-    _, hi_wide = wilson_interval(round(wide * trials), trials)
+    lo_narrow, _ = rate_band(narrow, trials)
+    _, hi_wide = rate_band(wide, trials)
     ok = narrow > wide and hi_wide < lo_narrow
     _verdict(
         10,

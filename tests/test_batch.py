@@ -317,10 +317,10 @@ class TestEngineRowsMatchPublicChain:
     @pytest.mark.parametrize(
         "impairments, trials, es_n0_db, block_rows",
         [
-            ({"phase_rotation": 0.7}, 100, 5.0, [50, 50]),  # rotation only
-            ({"carrier_freq_error": 0.013}, 100, 5.0, [50, 50]),  # CFO only
-            ({}, 100, None, [50, 50]),  # neither
-            (IMPAIRED, 130, 5.0, [44, 44, 42]),  # 64 rows at most: three blocks of unequal size
+            ({"phase_rotation": 0.7}, 100, 5.0, [64, 36]),  # rotation only
+            ({"carrier_freq_error": 0.013}, 100, 5.0, [64, 36]),  # CFO only
+            ({}, 100, None, [64, 36]),  # neither
+            (IMPAIRED, 130, 5.0, [64, 64, 2]),  # 64 rows at most: three blocks of unequal size
         ],
     )
     def test_fom_channel_branches(self, impairments, trials, es_n0_db, block_rows, monkeypatch):
@@ -353,12 +353,12 @@ class TestEngineRowsMatchPublicChain:
     @pytest.mark.parametrize("index_mode, cp_len", [("single-active", 0), ("single-silent", 2)])
     def test_ofdm_blocks_are_sized_by_the_slicer(self, index_mode, cp_len, monkeypatch):
         # m = 256 slicing distances per row exceed the 8 + cp_len frame samples:
-        # blocks of at most 4096 // 256 = 16 rows, so 100 trials make 6 x 15 + 10.
+        # blocks of at most 4096 // 256 = 16 rows, so 100 trials make 6 x 16 + 4.
         ofdm = {"n_subcarriers": 8, "spacing_hz": 1.0, "m": 256, "cp_len": cp_len, "index_mode": index_mode}
         channel = {"es_n0_db": 6.0, **IMPAIRED}
         scenario = scenario_from_dict(impaired_data(8, 256, "joint-ml", mode="ofdm", ofdm=ofdm, trials=100, channel=channel))
         blocks = engine_blocks(scenario, monkeypatch)
-        assert [len(block) for block in blocks] == [15] * 6 + [10]
+        assert [len(block) for block in blocks] == [16] * 6 + [4]
         assert np.array_equal(np.concatenate(blocks), public_chain_rows(scenario))
 
     def test_dump_across_blocks_holds_the_public_chain_rows(self):

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fomlink.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
-from builders import scenario_data
+from builders import link_config, scenario_data
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -329,6 +329,37 @@ class TestSharedParser:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {
+                "system": link_config(64, 16).to_dict(),
+                "mode": "ofdm",
+                "ofdm": {"n_subcarriers": 64, "spacing_hz": 1.0, "m": 16, "cp_len": 16, "index_mode": "single-active"},
+            },
+        ],
+        ids=["fom-8x4", "ofdm-64x16"],
+    )
+    def test_simulate_calls_keep_nothing(self, tmp_path, overrides):
+        # Each call takes another seed, so a cache keyed on its scenario, or a
+        # kept CSV or metrics row (600-900 bytes), would grow the traced memory
+        # by 59-90 KB over the calls; the interpreter's own free lists grew it
+        # by 5-11 KB.
+        channel = {"es_n0_db": 10.0, "phase_rotation": 0.1, "carrier_freq_error": 0.01}
+        config = scenario_file(tmp_path, channel=channel, trials=16, **overrides)
+        traced = []
+        tracemalloc.start()
+        try:
+            for seed in range(100):
+                assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out.csv"), "--seed", str(seed)]) == EXIT_OK
+                if seed in (0, 99):
+                    gc.collect()
+                    traced.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert traced[1] - traced[0] < 32 * 1024, traced
 
 
 class TestValidate:

@@ -11,6 +11,7 @@ from fomlink.ofdm import (
     OfdmConfig,
     OfdmFrame,
     _ofdm_link,
+    _synthesize_frames,
     demodulate_frame,
     fom_to_ofdm_params,
     frame_awgn,
@@ -127,6 +128,25 @@ class TestModulation:
             assert np.array_equal(buffer[:size], np.array(wants[lo : lo + size]))
             lo += size
         assert lo == len(wants)
+
+    @pytest.mark.parametrize("n, cp_len", [(n, cp_len) for n in (2, 8, 64, 1024) for cp_len in (0, n // 4)])
+    def test_frames_are_one_block_ifft(self, n, cp_len):
+        # A block's frames equal one IFFT over all its bin rows, bit for bit,
+        # so one call per block could replace the call per frame and leave
+        # every CSV and dump as it is.
+        rng = np.random.default_rng(n + cp_len)
+        for index_mode in INDEX_MODES:
+            cfg = OfdmConfig(n_subcarriers=n, spacing_hz=1.0, m=16, cp_len=cp_len, index_mode=index_mode)
+            for frames in (1, 43, 128):
+                indices = rng.integers(0, n, size=frames)
+                points = constellation(16)[rng.integers(0, 16, size=frames)]
+                bins = np.zeros((frames, n), dtype=complex) if index_mode == "single-active" else np.repeat(points[:, None], n, axis=1)
+                bins[np.arange(frames), indices] = points if index_mode == "single-active" else 0.0
+                payload = np.fft.ifft(bins, axis=-1, norm="ortho")
+                want = np.concatenate([payload[:, n - cp_len :], payload], axis=1)
+                rows = np.empty((frames, cfg.frame_len), dtype=complex)
+                _synthesize_frames(cfg, points, indices, rows)
+                assert rows.tobytes() == want.tobytes(), (index_mode, frames)
 
     def test_parseval(self):
         cfg = OfdmConfig(n_subcarriers=16, spacing_hz=1e3, m=16, cp_len=0, index_mode="single-active")

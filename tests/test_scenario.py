@@ -26,7 +26,7 @@ from fomlink.scenario import (
     write_metrics_csv,
 )
 from fomlink.system import SystemConfig, build_frequency_plan, validate_config
-from builders import all_blocks, link_config, scenario_data
+from builders import all_blocks, link_config, rate_band, scenario_data
 from references import (
     biorthogonal_block_error,
     ml_block_error_bounds,
@@ -385,8 +385,8 @@ class TestMonteCarlo:
         assert [r.df_t for r in rows] == [0.1, 0.25, 0.5, 1.0]
         rates = [r.index_error_rate for r in rows]
         assert all(a > b for a, b in zip(rates, rates[1:]))
-        lo_wide, _ = wilson_interval(round(rates[0] * trials), trials)
-        _, hi_tight = wilson_interval(round(rates[-1] * trials), trials)
+        lo_wide, _ = rate_band(rates[0], trials)
+        _, hi_tight = rate_band(rates[-1], trials)
         assert hi_tight < lo_wide
 
     @pytest.mark.parametrize("m,snrs", [(4, (4.0, 6.0, 8.0)), (16, (12.0, 14.0, 16.0)), (64, (18.0, 20.0, 22.0))])
@@ -398,7 +398,7 @@ class TestMonteCarlo:
         s = scenario_from_dict(scenario_data(system=system, trials=trials, sweep={"es_n0_db": list(snrs)}))
         for row in run_monte_carlo(s):
             p = (1 - 1 / math.sqrt(m)) * math.erfc(math.sqrt(3 * 10 ** (row.es_n0_db / 10) / (2 * (m - 1))))
-            lo, hi = wilson_interval(round(row.symbol_error_rate * trials), trials)
+            lo, hi = rate_band(row.symbol_error_rate, trials)
             assert lo <= 1 - (1 - p) ** 2 <= hi, (row.es_n0_db, row.symbol_error_rate, 1 - (1 - p) ** 2)
 
     def test_the_biorthogonal_reference_reduces_to_bpsk_and_qpsk(self):
@@ -419,7 +419,7 @@ class TestMonteCarlo:
         s = scenario_from_dict(scenario_data(system=system, trials=trials, sweep={"es_n0_db": [0.0, 3.0, 6.0]}))
         for row in run_monte_carlo(s):
             want = biorthogonal_block_error(n if m == 2 else 2 * n, row.es_n0_db)
-            lo, hi = wilson_interval(round(row.block_error_rate * trials), trials, z=3.29)
+            lo, hi = rate_band(row.block_error_rate, trials, z=3.29)
             assert lo <= want <= hi, (row.es_n0_db, row.block_error_rate, want)
 
     def test_noncoherent_index_error_is_noncoherent_fsk_under_rotation(self):
@@ -433,15 +433,15 @@ class TestMonteCarlo:
         )
         for row in run_monte_carlo(s):
             want = noncoherent_fsk_index_error(8, row.es_n0_db)
-            lo, hi = wilson_interval(round(row.index_error_rate * trials), trials)
+            lo, hi = rate_band(row.index_error_rate, trials)
             assert lo <= want <= hi, (row.es_n0_db, row.index_error_rate, want)
         # The coherent rule assumes the phase is known: the same rotation costs it index errors.
         still, turned = (
             run_monte_carlo(scenario_from_dict(scenario_data(trials=trials, channel=channel)))[0].index_error_rate
             for channel in ({"es_n0_db": 6.0}, rotated)
         )
-        _, hi_still = wilson_interval(round(still * trials), trials)
-        lo_turned, _ = wilson_interval(round(turned * trials), trials)
+        _, hi_still = rate_band(still, trials)
+        lo_turned, _ = rate_band(turned, trials)
         assert hi_still < lo_turned
 
     @pytest.mark.parametrize("phase_rotation", [0.0, math.pi / 4])
@@ -456,7 +456,7 @@ class TestMonteCarlo:
         )
         for row in run_monte_carlo(s):
             want = noncoherent_fsk_index_error(8, row.es_n0_db)
-            lo, hi = wilson_interval(round(row.index_error_rate * trials), trials)
+            lo, hi = rate_band(row.index_error_rate, trials)
             assert lo <= want <= hi, (row.es_n0_db, row.index_error_rate, want)
 
     def test_the_qam_reference_reduces_to_fsk_for_one_amplitude(self):
@@ -479,7 +479,7 @@ class TestMonteCarlo:
         )
         for row in run_monte_carlo(s):
             want = noncoherent_qam_index_error(8, m, row.es_n0_db)
-            lo, hi = wilson_interval(round(row.index_error_rate * trials), trials, z=3.29)
+            lo, hi = rate_band(row.index_error_rate, trials, z=3.29)
             assert lo <= want <= hi, (row.es_n0_db, row.index_error_rate, want)
             assert not lo <= noncoherent_fsk_index_error(8, row.es_n0_db) <= hi
 
@@ -507,7 +507,7 @@ class TestMonteCarlo:
         for row in run_monte_carlo(s):
             one_amplitude = ofdm_single_silent_index_error(8, row.es_n0_db)
             want = one_amplitude if m < 16 else ofdm_single_silent_qam_index_error(8, m, row.es_n0_db)
-            lo, hi = wilson_interval(round(row.index_error_rate * trials), trials, z=3.29)
+            lo, hi = rate_band(row.index_error_rate, trials, z=3.29)
             assert lo <= want <= hi, (row.es_n0_db, row.index_error_rate, want)
             if m >= 16 and row.es_n0_db >= 6.0:
                 assert not lo <= one_amplitude <= hi, (row.es_n0_db, row.index_error_rate, one_amplitude)
@@ -534,7 +534,7 @@ class TestMonteCarlo:
         s = scenario_from_dict(scenario_data(system=system, detector="two-stage", zero_pad_factor=1, trials=trials, channel=channel))
         row = run_monte_carlo(s)[0]
         want = two_stage_index_error(n, m, es_n0_db, s.system.samples_per_symbol, df_t, carrier_freq_error)
-        lo, hi = wilson_interval(round(row.index_error_rate * trials), trials, z=3.29)
+        lo, hi = rate_band(row.index_error_rate, trials, z=3.29)
         assert lo <= want <= hi, (row.index_error_rate, want)
 
     def test_the_cfo_reference_reduces_to_fsk_without_an_error(self):
@@ -567,7 +567,7 @@ class TestMonteCarlo:
         row = run_monte_carlo(s)[0]
         samples = s.system.samples_per_symbol if mode == "fom" else n
         want = noncoherent_cfo_index_error(n, m, es_n0_db, samples, 1, carrier_freq_error)
-        lo, hi = wilson_interval(round(row.index_error_rate * trials), trials, z=3.29)
+        lo, hi = rate_band(row.index_error_rate, trials, z=3.29)
         assert lo <= want <= hi, (row.index_error_rate, want)
 
     def test_the_rotation_reference_is_biorthogonal_at_zero_phase(self):
@@ -591,7 +591,7 @@ class TestMonteCarlo:
         s = scenario_from_dict(scenario_data(detector=detector, system=link_config(n=n).to_dict(), trials=trials, channel=channel))
         row = run_monte_carlo(s)[0]
         for rate, want in zip((row.index_error_rate, row.block_error_rate), qpsk_rotation_errors(n, es_n0_db, phase_rotation)):
-            lo, hi = wilson_interval(round(rate * trials), trials, z=3.29)
+            lo, hi = rate_band(rate, trials, z=3.29)
             assert lo <= want <= hi, (rate, want)
 
     @pytest.mark.parametrize("m", [2, 4])
@@ -608,7 +608,7 @@ class TestMonteCarlo:
         signals = [synthesize_block(block, plan, s.system).samples for block, _, _ in all_blocks(8, m)]
         for row in run_monte_carlo(s):
             lower, upper = ml_block_error_bounds(signals, row.es_n0_db)
-            lo, hi = wilson_interval(round(row.block_error_rate * trials), trials, z=3.29)
+            lo, hi = rate_band(row.block_error_rate, trials, z=3.29)
             assert lo <= upper and lower <= hi, (row.es_n0_db, row.block_error_rate, lower, upper)
 
     @pytest.mark.parametrize("df_t", [0.5, 1.0])
@@ -622,7 +622,7 @@ class TestMonteCarlo:
         signals = [synthesize_block(block, plan, s.system).samples for block, _, _ in all_blocks(8, 16)]
         for row in run_monte_carlo(s):
             lower, upper = ml_block_error_bounds(signals, row.es_n0_db)
-            lo, hi = wilson_interval(round(row.block_error_rate * trials), trials, z=3.29)
+            lo, hi = rate_band(row.block_error_rate, trials, z=3.29)
             assert lo <= upper and lower <= hi, (row.es_n0_db, row.block_error_rate, lower, upper)
 
     def test_ofdm_rows(self):
