@@ -38,6 +38,6 @@ scenario = scenario_from_dict({
     "sweep": {"es_n0_db": [0, 5, 10, 15, 20]},
 })
 print("es_n0_db  index_err  block_err   bit_err")
-for row in run_monte_carlo(scenario, workers=4):
+for row in run_monte_carlo(scenario):
     print(f"{row.es_n0_db:8.0f}  {row.index_error_rate:9.4f}  "
           f"{row.block_error_rate:9.4f}  {row.bit_error_rate:8.4f}")

@@ -19,14 +19,14 @@ base = {
 }
 
 print("joint-ml detector, 10 dB:")
-rows = run_monte_carlo(scenario_from_dict({**base, "detector": "joint-ml"}), workers=4)
+rows = run_monte_carlo(scenario_from_dict({**base, "detector": "joint-ml"}))
 for row in rows:
     lo, hi = wilson_interval(round(row.index_error_rate * row.trials), row.trials)
     print(f"  df*T = {row.df_t:4.2f}: index errors {row.index_error_rate:.4f} "
           f"(95% in [{lo:.4f}, {hi:.4f}])")
 
 print("\ntwo-stage (FFT peak, then slice), same channel:")
-rows = run_monte_carlo(scenario_from_dict({**base, "detector": "two-stage"}), workers=4)
+rows = run_monte_carlo(scenario_from_dict({**base, "detector": "two-stage"}))
 for row in rows:
     print(f"  df*T = {row.df_t:4.2f}: index errors {row.index_error_rate:.4f}")
 

@@ -48,9 +48,7 @@ def _parse_axis(text: str, name: str) -> tuple[float, ...]:
             if not math.isfinite(stop - start):  # inf, nan, or a span that overflows linspace
                 raise ValueError("the range must have finite ends and a finite span")
             return tuple(float(v) for v in np.linspace(start, stop, steps))
-        if "," in text:
-            return tuple(float(v) for v in text.split(","))
-        return (float(text),)
+        return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise ScenarioError(f"bad --{name} value {text!r}: {exc}") from exc
 

@@ -105,9 +105,9 @@ def deframe(blocks: Iterable[DataBlock], pad_bits: int) -> np.ndarray:
         flat.extend(b.symbol_bits)
     if pad_bits < 0 or pad_bits > len(flat):
         raise ValueError(f"pad_bits {pad_bits} out of range for {len(flat)} framed bits")
-    if pad_bits and any(flat[len(flat) - pad_bits :]):
+    if any(flat[len(flat) - pad_bits :]):
         raise ValueError("pad bits must be zero")
-    return np.array(flat[: len(flat) - pad_bits] if pad_bits else flat, dtype=np.int64)
+    return np.array(flat[: len(flat) - pad_bits], dtype=np.int64)
 
 
 def map_index(index_bits: Sequence[int]) -> int:

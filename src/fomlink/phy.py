@@ -95,10 +95,8 @@ class ChannelSpec:
             if not _is_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         object.__setattr__(self, "es_n0_db", _checked_es_n0(self.es_n0_db))
-        theta = math.fmod(self.phase_rotation, TWO_PI)
-        if theta < 0.0:
-            theta += TWO_PI
-        object.__setattr__(self, "phase_rotation", theta)
+        # float % is fmod plus 2*pi when negative; the second % maps a tiny negative's round-up to 2*pi to 0.
+        object.__setattr__(self, "phase_rotation", float(self.phase_rotation) % TWO_PI % TWO_PI)
         object.__setattr__(self, "carrier_freq_error", float(self.carrier_freq_error))
 
 

@@ -159,3 +159,51 @@ def qpsk_rotation_errors(n, es_n0_db, theta):
     index_right = float(np.sum((others[1:] + others[:-1]) / 2 * np.diff(sent_max)))
     block_right = float(np.trapezoid(x_density * y_cdf * others, t))
     return 1.0 - index_right, 1.0 - block_right
+
+
+def tone_correlation(delta_f_hz, samples, sample_rate):
+    """The complex correlation rho = (1/S) sum_{t<S} exp(2 pi j delta_f t / fs) of two unit tones delta_f apart over
+    the link's own S samples at rate fs; S alone is not enough: at oversample 8 and df_t 0.1, fs T = 8.8 while S = 9."""
+    return complex(np.exp(2j * math.pi * delta_f_hz * np.arange(samples) / sample_rate).mean())
+
+
+def _marcum_q1(a, b):
+    """Marcum Q_1(a, b) = integral_b^inf x exp(-(x^2 + a^2) / 2) I_0(a x) dx, taken by the trapezoid rule."""
+    x = np.linspace(b, max(a, b) + 12, 20_001)
+    return float(np.trapezoid(x * np.exp(-(x**2 + a**2) / 2) * np.i0(a * x), x))
+
+
+def overlapping_noncoherent_index_error(m, es_n0_db, rho):
+    """Index error rate of the noncoherent detector, argmax |c_k|, on two equal-energy tones of complex correlation
+    `rho`, whose tones carry square m-QAM (Proakis 4.5, binary noncoherent detection of non-orthogonal signals):
+    P = Q_1(a, b) - 1/2 exp(-(a^2 + b^2) / 2) I_0(a b), a, b = sqrt(gamma / 2 (1 -+ sqrt(1 - |rho|^2))), at
+    gamma = |a|^2 Es/N0 averaged over the points as in `_qam_average`.  The rotation does not enter."""
+    spread = math.sqrt(1 - abs(rho) ** 2)
+
+    def rate(es):
+        gamma = 10 ** (es / 10)
+        a, b = math.sqrt(gamma / 2 * (1 - spread)), math.sqrt(gamma / 2 * (1 + spread))
+        return _marcum_q1(a, b) - 0.5 * math.exp(-(a**2 + b**2) / 2) * float(np.i0(a * b))
+
+    return _qam_average(rate, m, es_n0_db)
+
+
+def overlapping_bpsk_errors(es_n0_db, rho):
+    """(index, block) error rates of coherent ML detection (joint-ml, the oracle) of BPSK on two tones of complex
+    correlation `rho`, with no rotation.
+
+    Each tone's best BPSK metric is |Re c_k|, so the index is argmax_k |X_k|, X_k = Re(c_k) / S, and the block is right
+    when also the sent tone's X_0 > 0 (the sent point is +1 on tone 0 by symmetry).  X_0 and X_1 have means 1 and
+    Re rho and common variance s^2 = 10**(-Es/N0/10) / 2; given X_0 = x, X_1 is normal about Re rho x with variance
+    s'^2 = s^2 (1 - Re rho^2).  So, by the trapezoid rule,
+        index right = integral phi_s(x - 1) [Phi((|x| - Re rho x) / s') - Phi((-|x| - Re rho x) / s')] dx,
+    and the block right the same integral over x > 0."""
+    real = rho.real
+    sigma = math.sqrt(10 ** (-es_n0_db / 10) / 2)
+    given = sigma * math.sqrt(1 - real**2)
+    x = np.linspace(1 - 12 * sigma, 1 + 12 * sigma, 20_001)
+    erf = np.vectorize(math.erf)
+    density = np.exp(-0.5 * ((x - 1) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+    inside = (erf((np.abs(x) - real * x) / (given * math.sqrt(2))) - erf((-np.abs(x) - real * x) / (given * math.sqrt(2)))) / 2
+    right = density * inside
+    return 1.0 - float(np.trapezoid(right, x)), 1.0 - float(np.trapezoid(np.where(x > 0, right, 0.0), x))

@@ -103,6 +103,19 @@ class TestChannelSpec:
         assert spec.phase_rotation == pytest.approx(math.pi, rel=1e-12)
         assert ChannelSpec(es_n0_db=1.0, phase_rotation=7.0).phase_rotation == pytest.approx(7.0 - 2 * math.pi)
 
+    @pytest.mark.parametrize("phase", [-1e-17, -1e-300, -0.0, -2 * math.pi, -4 * math.pi])
+    def test_phases_that_round_to_one_turn_store_plus_zero(self, phase):
+        # -1e-17 + 2*pi rounds to 2*pi itself, outside [0, 2*pi).
+        stored = ChannelSpec(es_n0_db=10.0, phase_rotation=phase).phase_rotation
+        assert stored == 0.0 and math.copysign(1.0, stored) == 1.0
+
+    @pytest.mark.parametrize("phase", [7.0, -math.pi, 1e10, -5e-16])
+    def test_other_phases_store_fmod_plus_one_turn_when_negative(self, phase):
+        # -5e-16 stores 6.283185307179585, the float just under 2*pi.
+        want = math.fmod(phase, 2 * math.pi)
+        want += 2 * math.pi if want < 0.0 else 0.0
+        assert ChannelSpec(es_n0_db=10.0, phase_rotation=phase).phase_rotation == want < 2 * math.pi
+
     def test_noiseless_sentinel_allowed(self):
         assert ChannelSpec(es_n0_db=math.inf).es_n0_db == math.inf
         assert ChannelSpec(None) == ChannelSpec(math.inf)

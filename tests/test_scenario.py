@@ -35,7 +35,10 @@ from references import (
     noncoherent_qam_index_error,
     ofdm_single_silent_index_error,
     ofdm_single_silent_qam_index_error,
+    overlapping_bpsk_errors,
+    overlapping_noncoherent_index_error,
     qpsk_rotation_errors,
+    tone_correlation,
     two_stage_index_error,
 )
 
@@ -593,6 +596,47 @@ class TestMonteCarlo:
         for rate, want in zip((row.index_error_rate, row.block_error_rate), qpsk_rotation_errors(n, es_n0_db, phase_rotation)):
             lo, hi = rate_band(rate, trials, z=3.29)
             assert lo <= want <= hi, (rate, want)
+
+    def test_the_overlapping_tone_references_reduce_to_orthogonal_tones(self):
+        # At df_t = 1 the link's two tones are orthogonal, rho = 0 up to rounding.
+        system = link_config(n=2, df_t=1.0)
+        rho = tone_correlation(system.delta_f_hz, system.samples_per_symbol, system.sample_rate)
+        assert abs(rho) < 1e-12
+        for es_n0_db in (2.0, 6.0, 10.0, 14.0):
+            assert overlapping_noncoherent_index_error(4, es_n0_db, rho) == pytest.approx(noncoherent_fsk_index_error(2, es_n0_db), abs=1e-6)
+            assert overlapping_bpsk_errors(es_n0_db, rho)[1] == pytest.approx(biorthogonal_block_error(2, es_n0_db), abs=1e-6)
+
+    @pytest.mark.parametrize("m", [4, 16])
+    @pytest.mark.parametrize("df_t", [0.1, 0.25, 0.5, 0.75])
+    def test_noncoherent_index_error_on_two_overlapping_tones_is_exact(self, m, df_t):
+        # Below df_t = 1 the two tones overlap with correlation rho, which the
+        # link's own S samples at rate fs set, and argmax |c_k| errs as binary
+        # noncoherent detection of non-orthogonal signals, whatever the phase.
+        trials = 4000
+        channel = {"es_n0_db": 6.0, "phase_rotation": 0.7}
+        system = link_config(n=2, m=m, df_t=df_t).to_dict()
+        s = scenario_from_dict(
+            scenario_data(detector="noncoherent", system=system, trials=trials, channel=channel, sweep={"es_n0_db": [6.0, 10.0, 14.0]})
+        )
+        rho = tone_correlation(s.system.delta_f_hz, s.system.samples_per_symbol, s.system.sample_rate)
+        for row in run_monte_carlo(s):
+            want = overlapping_noncoherent_index_error(m, row.es_n0_db, rho)
+            lo, hi = rate_band(row.index_error_rate, trials, z=3.29)
+            assert lo <= want <= hi, (row.es_n0_db, row.index_error_rate, want)
+
+    @pytest.mark.parametrize("detector", ["joint-ml", "oracle"])
+    @pytest.mark.parametrize("df_t", [0.1, 0.25, 0.5, 0.75])
+    def test_coherent_bpsk_errors_on_two_overlapping_tones_are_exact(self, detector, df_t):
+        # The two BPSK outputs Re(c_k) / S are jointly normal with correlation
+        # Re rho, so the index and block rates are one integral each.
+        trials = 4000
+        system = link_config(n=2, m=2, df_t=df_t).to_dict()
+        s = scenario_from_dict(scenario_data(detector=detector, system=system, trials=trials, sweep={"es_n0_db": [2.0, 6.0, 10.0]}))
+        rho = tone_correlation(s.system.delta_f_hz, s.system.samples_per_symbol, s.system.sample_rate)
+        for row in run_monte_carlo(s):
+            for rate, want in zip((row.index_error_rate, row.block_error_rate), overlapping_bpsk_errors(row.es_n0_db, rho)):
+                lo, hi = rate_band(rate, trials, z=3.29)
+                assert lo <= want <= hi, (row.es_n0_db, rate, want)
 
     @pytest.mark.parametrize("m", [2, 4])
     @pytest.mark.parametrize("df_t", [0.1, 0.25, 0.5, 0.75])
